@@ -82,7 +82,7 @@ type ArbiterStats struct {
 	GPUsLeftOver       int
 	TotalAuctionTime   time.Duration
 	MaxAuctionTime     time.Duration
-	TruthfulPayments   float64 // sum of (1 − c_i) over winners
+	TruthfulPayments   float64 // sum of (1 − c_i) over every bidder, in bid order
 	WinnersWithNothing int
 	// Cumulative per-phase time across all rounds: ρ probes + offer
 	// selection, bid preparation, winner determination (solver + hidden
@@ -224,18 +224,18 @@ func (a *Arbiter) OfferResources(now float64, free cluster.Alloc, agents []Agent
 	}
 
 	var out []Allocation
-	bidByApp := make(map[workload.AppID]BidTable, len(bids))
+	// Visit winners in bid order, not map order: the payment sum is a float
+	// accumulation, so its order decides its last bits.
 	for _, b := range bids {
-		bidByApp[b.App] = b
-	}
-	for id, alloc := range auction.Winners {
+		id := b.App
+		alloc := auction.Winners[id]
 		a.Stats.TruthfulPayments += 1 - auction.HiddenPayment[id]
 		if alloc.Total() == 0 {
 			a.Stats.WinnersWithNothing++
 			continue
 		}
 		a.lastRound.Winners++
-		out = append(out, Allocation{App: id, Alloc: alloc, FromAuction: true, Rho: rhoOfWin(bidByApp[id], alloc)})
+		out = append(out, Allocation{App: id, Alloc: alloc, FromAuction: true, Rho: rhoOfWin(b, alloc)})
 	}
 	a.Stats.AuctionWinners += a.lastRound.Winners
 

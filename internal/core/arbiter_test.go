@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"themis/internal/cluster"
@@ -185,5 +187,63 @@ func TestArbiterAllocationsAreDisjoint(t *testing.T) {
 	}
 	if err := cs.Validate(); err != nil {
 		t.Errorf("cluster state invalid after grants: %v", err)
+	}
+}
+
+// fixedBidder answers every offer with the same bid table and can use no
+// leftovers, so a round's outcome is its auction alone.
+type fixedBidder struct{ table BidTable }
+
+func (f fixedBidder) ID() workload.AppID                                        { return f.table.App }
+func (f fixedBidder) ReportRho(float64, cluster.Alloc) float64                  { return f.table.CurrentRho() }
+func (f fixedBidder) PrepareBid(float64, cluster.Alloc, cluster.Alloc) BidTable { return f.table }
+func (f fixedBidder) UnmetParallelism(cluster.Alloc) int                        { return 0 }
+func (f fixedBidder) GangSize() int                                             { return 1 }
+
+// TestTruthfulPaymentsBitIdenticalAcrossRounds pins the payment sum's
+// accumulation order: with several fractional c_i the float sum's last bits
+// depend on the order it is taken in, and repeated identical rounds must
+// report identical bits.
+func TestTruthfulPaymentsBitIdenticalAcrossRounds(t *testing.T) {
+	topo := testTopo(t, 8, 4, 4)
+	free := cluster.NewAlloc()
+	for m := 0; m < 8; m++ {
+		free[cluster.MachineID(m)] = 4
+	}
+	bids := randomBids(rand.New(rand.NewSource(5)), free, 10)
+	res, err := RunPartialAllocation(topo, free, bids, AuctionOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fractional := map[float64]bool{}
+	for _, ci := range res.HiddenPayment {
+		if ci > 0 && ci < 1 {
+			fractional[ci] = true
+		}
+	}
+	if len(fractional) < 4 {
+		t.Fatalf("fixture has %d distinct fractional payments, want >= 4: %v", len(fractional), res.HiddenPayment)
+	}
+	agents := make([]AgentState, 0, len(bids))
+	for _, b := range bids {
+		agents = append(agents, AgentState{Agent: fixedBidder{b}, Current: cluster.NewAlloc()})
+	}
+	var first uint64
+	for round := 0; round < 64; round++ {
+		arb, err := NewArbiter(topo, Config{FairnessKnob: 0, LeaseDuration: 20})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := arb.OfferResources(0, free, agents); err != nil {
+			t.Fatal(err)
+		}
+		bits := math.Float64bits(arb.Stats.TruthfulPayments)
+		if round == 0 {
+			first = bits
+			continue
+		}
+		if bits != first {
+			t.Fatalf("round %d: TruthfulPayments %v, round 0 %v", round, arb.Stats.TruthfulPayments, math.Float64frombits(first))
+		}
 	}
 }

@@ -65,20 +65,36 @@ func RunPartialAllocation(topo *cluster.Topology, offer cluster.Alloc, bids []Bi
 	for _, b := range bids {
 		bidders = append(bidders, toBidder(b))
 	}
-	full, objective, err := solver.Solve(offer, bidders, opts.Solver)
+	// One compiled instance serves the proportional-fair solve and, unless
+	// payments are disabled, every leave-one-out market the payments need.
+	var (
+		full      solver.Assignment
+		objective float64
+		without   []float64
+		err       error
+	)
+	if opts.DisableHiddenPayments {
+		full, objective, err = solver.Solve(offer, bidders, opts.Solver)
+	} else {
+		full, objective, without, err = solver.SolveLeaveOneOut(offer, bidders, opts.Solver)
+	}
 	if err != nil {
 		return res, fmt.Errorf("core: proportional-fair solve: %w", err)
 	}
 	res.Objective = objective
 
+	logs := make([]float64, len(bidders))
+	for i, b := range bidders {
+		logs[i] = math.Log(full[b.ID].Value)
+	}
 	allocated := cluster.NewAlloc()
-	for _, b := range bids {
+	for i, b := range bids {
 		id := b.App
 		pf := full[string(id)].Alloc
 		res.ProportionalFair[id] = pf
 		ci := 1.0
-		if !opts.DisableHiddenPayments {
-			ci = hiddenPayment(offer, bidders, full, string(id), opts.Solver)
+		if without != nil {
+			ci = hiddenPayment(logs, i, without[i])
 		}
 		res.HiddenPayment[id] = ci
 		final := scaleAllocation(topo, pf, ci)
@@ -102,30 +118,25 @@ func toBidder(b BidTable) solver.Bidder {
 	return out
 }
 
-// hiddenPayment computes c_i for bidder id (Pseudocode 2 lines 7–8): the
+// hiddenPayment computes c_i for bidder i (Pseudocode 2 lines 7–8): the
 // ratio of the other bidders' collective valuation in the market with bidder
-// id present to their collective valuation in the market without it. The
+// i present to their collective valuation in the market without it. The
 // ratio is at most 1; the difference is the "payment" the bidder forfeits,
 // which is what makes truthful reporting a dominant strategy.
-func hiddenPayment(offer cluster.Alloc, bidders []solver.Bidder, full solver.Assignment, id string, opts solver.Options) float64 {
-	var withLog float64
-	others := make([]solver.Bidder, 0, len(bidders)-1)
-	for _, b := range bidders {
-		if b.ID == id {
-			continue
-		}
-		others = append(others, b)
-		withLog += math.Log(full[b.ID].Value)
-	}
-	if len(others) == 0 {
+//
+// logs holds every bidder's log valuation of its proportional-fair bundle
+// and withoutLog the objective of the market without bidder i (the solver's
+// index-ordered sum). Both sides are summed in bidder index order, so
+// repeated auctions produce bit-identical payments.
+func hiddenPayment(logs []float64, i int, withoutLog float64) float64 {
+	if len(logs) == 1 {
 		return 1 // a lone bidder pays nothing
 	}
-	// Use the solver's index-ordered objective rather than re-summing the
-	// assignment map: identical value, but deterministic float accumulation,
-	// so repeated auctions produce bit-identical payments.
-	_, withoutLog, err := solver.Solve(offer, others, opts)
-	if err != nil {
-		return 1
+	var withLog float64
+	for j, l := range logs {
+		if j != i {
+			withLog += l
+		}
 	}
 	ci := math.Exp(withLog - withoutLog)
 	if ci > 1 {

@@ -409,3 +409,40 @@ func TestLeaseTable(t *testing.T) {
 		t.Error("empty table should have no next expiry")
 	}
 }
+
+// marketBids values the whole offer for n apps of the paper's workload
+// generator that hold nothing — the bids of a full-reclaim round in a large
+// in-process market, where every participant starts from an empty
+// allocation.
+func marketBids(tb testing.TB, topo *cluster.Topology, offer cluster.Alloc, n int) []BidTable {
+	cfg := workload.DefaultGeneratorConfig()
+	cfg.Seed, cfg.NumApps = 42, n
+	apps, err := workload.Generate(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	now := apps[len(apps)-1].SubmitTime + 1
+	bids := make([]BidTable, 0, n)
+	for _, app := range apps {
+		bids = append(bids, agentFor(topo, app).PrepareBid(now, offer, cluster.NewAlloc()))
+	}
+	return bids
+}
+
+// BenchmarkPartialAllocation times one partial-allocation auction — the
+// proportional-fair solve plus every bidder's leave-one-out hidden-payment
+// search — at the shape of a large in-process market round: 200 starved
+// bidders valuing the whole 256-GPU simulation cluster with ~8-row tables,
+// far past ExactLimit, so every search is greedy.
+func BenchmarkPartialAllocation(b *testing.B) {
+	topo := cluster.SimulationCluster()
+	offer := cluster.NewState(topo).FreeVector()
+	bids := marketBids(b, topo, offer, 200)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := RunPartialAllocation(topo, offer, bids, AuctionOptions{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

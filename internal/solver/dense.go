@@ -12,7 +12,10 @@
 //
 // The compiled instance lives in a pooled scratch struct; a Solve call
 // borrows one, compiles, searches, copies the winning bundles into the
-// returned Assignment, and releases the scratch. The search results are
+// returned Assignment, and releases the scratch. SolveLeaveOneOut keeps the
+// scratch for one more search per bidder: each masks that bidder out of the
+// same compiled instance and resets every piece of search state (`used`,
+// choices, order) a fresh Solve would start without. The search results are
 // bit-identical to the previous map-based implementation (pinned by
 // TestDenseSolverMatchesReference): bidder ordering, per-depth bundle
 // ordering, pruning comparisons and float accumulation order are all
@@ -256,24 +259,30 @@ func (sc *scratch) fitsTerms(b *denseBundle) bool {
 }
 
 // solveExact runs the same depth-first branch and bound as before, over the
-// compiled instance: bidders ordered by decreasing value spread, bundles
-// tried in descending value, suffix log bounds for pruning.
-func (sc *scratch) solveExact() {
+// compiled instance minus bidder skip: bidders ordered by decreasing value
+// spread, bundles tried in descending value, suffix log bounds for pruning.
+// The unmasked bidders enter the spread sort in index order, so the sort
+// sees the same comparisons — and yields the same permutation — as it would
+// on a freshly compiled instance without the masked bidder.
+func (sc *scratch) solveExact(skip int) {
 	nb := len(sc.norm)
 	sc.order = sc.order[:0]
 	for i := 0; i < nb; i++ {
-		sc.order = append(sc.order, i)
+		if i != skip {
+			sc.order = append(sc.order, i)
+		}
 	}
 	order := sc.order
 	sort.Slice(order, func(a, b int) bool {
 		return sc.spread[order[a]] > sc.spread[order[b]]
 	})
+	nd := len(order) // search depth
 	sc.maxLog = sc.maxLog[:0]
-	for i := 0; i <= nb; i++ {
+	for i := 0; i <= nd; i++ {
 		sc.maxLog = append(sc.maxLog, 0)
 	}
 	maxLog := sc.maxLog
-	for i := nb - 1; i >= 0; i-- {
+	for i := nd - 1; i >= 0; i-- {
 		best := math.Inf(-1)
 		bi := order[i]
 		for _, bun := range sc.bundles[sc.boff[bi]:sc.boff[bi+1]] {
@@ -287,19 +296,22 @@ func (sc *scratch) solveExact() {
 	bestObj := math.Inf(-1)
 	haveBest := false
 	sc.choice = sc.choice[:0]
-	sc.bestChoice = sc.bestChoice[:0]
 	for i := 0; i < nb; i++ {
 		sc.choice = append(sc.choice, 0)
+	}
+	sc.bestChoice = sc.bestChoice[:0]
+	for i := 0; i < nd; i++ {
 		sc.bestChoice = append(sc.bestChoice, -1)
 	}
 	choice, bestChoice := sc.choice, sc.bestChoice
+	sc.used.Zero() // a previous greedy search leaves its winners' terms behind
 
 	var dfs func(depth int, obj float64)
 	dfs = func(depth int, obj float64) {
 		if obj+maxLog[depth] <= bestObj {
 			return // cannot beat the incumbent
 		}
-		if depth == nb {
+		if depth == nd {
 			bestObj = obj
 			haveBest = true
 			copy(bestChoice, choice)
@@ -339,8 +351,9 @@ func (sc *scratch) solveExact() {
 // followed by pair moves that revert a victim to its empty bundle to make
 // room. Bidders are visited in index order, so tie-breaks are deterministic
 // (the old map iteration made them order-dependent; strict > comparisons
-// mean unique-maximum instances are unaffected).
-func (sc *scratch) solveGreedy(rounds int) {
+// mean unique-maximum instances are unaffected). The masked bidder skip stays
+// on its empty bundle, which holds no GPUs, and is never visited.
+func (sc *scratch) solveGreedy(rounds, skip int) {
 	nb := len(sc.norm)
 	sc.choice = sc.choice[:0]
 	for i := 0; i < nb; i++ {
@@ -353,6 +366,9 @@ func (sc *scratch) solveGreedy(rounds int) {
 		bestGain := 1e-12
 		bestBidder, bestLocal := -1, int32(-1)
 		for i := 0; i < nb; i++ {
+			if i == skip {
+				continue
+			}
 			cur := sc.bundleAt(i, int32(choice[i]))
 			sc.subTerms(cur)
 			for local := int32(0); local < sc.boff[i+1]-sc.boff[i]; local++ {
@@ -377,7 +393,7 @@ func (sc *scratch) solveGreedy(rounds int) {
 			improved = true
 		}
 		if !improved {
-			if a, local, victim, ok := sc.findPairMove(); ok {
+			if a, local, victim, ok := sc.findPairMove(skip); ok {
 				pairMoveCount.Inc()
 				sc.subTerms(sc.bundleAt(victim, int32(choice[victim])))
 				choice[victim] = int(sc.emptyIdx[victim])
@@ -394,16 +410,19 @@ func (sc *scratch) solveGreedy(rounds int) {
 }
 
 // findPairMove looks for the best "bidder a upgrades while victim v falls
-// back to empty" move that improves the objective.
-func (sc *scratch) findPairMove() (a int, local int32, victim int, ok bool) {
+// back to empty" move that improves the objective; bidder skip takes no part.
+func (sc *scratch) findPairMove(skip int) (a int, local int32, victim int, ok bool) {
 	nb := len(sc.norm)
 	choice := sc.choice
 	bestGain := 1e-12
 	a, local, victim = -1, -1, -1
 	for i := 0; i < nb; i++ {
+		if i == skip {
+			continue
+		}
 		curA := sc.bundleAt(i, int32(choice[i]))
 		for v := 0; v < nb; v++ {
-			if v == i {
+			if v == i || v == skip {
 				continue
 			}
 			curV := sc.bundleAt(v, int32(choice[v]))
@@ -430,16 +449,26 @@ func (sc *scratch) findPairMove() (a int, local int32, victim int, ok bool) {
 	return a, local, victim, ok
 }
 
-// result materialises the Assignment from the per-bidder choices and returns
-// it with the index-ordered objective (deterministic, unlike the previous
-// map-order summation).
+// result materialises the Assignment from the per-bidder choices of an
+// unmasked search and returns it with its objective.
 func (sc *scratch) result() (Assignment, float64) {
 	asg := make(Assignment, len(sc.norm))
-	obj := 0.0
 	for i, b := range sc.norm {
-		local := sc.choice[i]
-		asg[b.ID] = b.Bundles[local]
-		obj += sc.bundleAt(i, int32(local)).logValue
+		asg[b.ID] = b.Bundles[sc.choice[i]]
 	}
-	return asg, obj
+	return asg, sc.objective(-1)
+}
+
+// objective sums the chosen bundles' log values in bidder index order,
+// skipping bidder skip — the same accumulation order a fresh Solve over the
+// unmasked bidders uses, so the bits match (and, unlike the previous
+// map-order summation, repeat exactly).
+func (sc *scratch) objective(skip int) float64 {
+	obj := 0.0
+	for i := range sc.norm {
+		if i != skip {
+			obj += sc.bundleAt(i, int32(sc.choice[i])).logValue
+		}
+	}
+	return obj
 }

@@ -122,17 +122,57 @@ func (o Options) withDefaults() Options {
 // instance (see dense.go); the sparse maps in the returned Assignment are
 // the caller's own bundle allocations, untouched.
 func Solve(capacity cluster.Alloc, bidders []Bidder, opts Options) (Assignment, float64, error) {
+	asg, obj, _, err := solve(capacity, bidders, opts, false)
+	return asg, obj, err
+}
+
+// SolveLeaveOneOut is Solve plus, for every bidder i, the objective of the
+// market without bidder i — the quantity the auction's hidden payments are
+// priced from. The bids are validated, normalized and compiled once; each
+// leave-one-out search then runs on that same instance with bidder i masked
+// out, and loo[i] is bit-identical to the objective Solve returns for the
+// bidders with bidders[i] removed. A lone bidder's leave-one-out market is
+// empty: loo[0] is 0 and no search runs for it.
+func SolveLeaveOneOut(capacity cluster.Alloc, bidders []Bidder, opts Options) (Assignment, float64, []float64, error) {
+	return solve(capacity, bidders, opts, true)
+}
+
+func solve(capacity cluster.Alloc, bidders []Bidder, opts Options, leaveOneOut bool) (Assignment, float64, []float64, error) {
 	opts = opts.withDefaults()
 	sc := getScratch()
 	defer sc.release()
 	if err := sc.validate(capacity, bidders); err != nil {
-		return nil, 0, err
+		return nil, 0, nil, err
 	}
 	sc.normalize(bidders)
 	sc.compile(capacity)
+	sc.search(opts, -1)
+	asg, obj := sc.result()
+	if !leaveOneOut {
+		return asg, obj, nil, nil
+	}
+	loo := make([]float64, len(sc.norm))
+	if len(loo) > 1 {
+		for i := range loo {
+			sc.search(opts, i)
+			loo[i] = sc.objective(i)
+		}
+	}
+	return asg, obj, loo, nil
+}
+
+// search runs one winner determination on the compiled instance with bidder
+// skip masked out (-1 masks nobody), leaving the unmasked bidders' choices in
+// sc.choice (the masked bidder's entry is meaningless). It decides exact vs
+// greedy from the unmasked bidders' bundle counts in index order, exactly as
+// a fresh Solve over those bidders would.
+func (sc *scratch) search(opts Options, skip int) {
 	space := 1
 	exact := true
-	for _, b := range sc.norm {
+	for i, b := range sc.norm {
+		if i == skip {
+			continue
+		}
 		if space > opts.ExactLimit/len(b.Bundles) {
 			exact = false
 			break
@@ -141,13 +181,11 @@ func Solve(capacity cluster.Alloc, bidders []Bidder, opts Options) (Assignment, 
 	}
 	if exact && space <= opts.ExactLimit {
 		solveExactCount.Inc()
-		sc.solveExact()
+		sc.solveExact(skip)
 	} else {
 		solveGreedyCount.Inc()
-		sc.solveGreedy(opts.LocalSearchRounds)
+		sc.solveGreedy(opts.LocalSearchRounds, skip)
 	}
-	asg, obj := sc.result()
-	return asg, obj, nil
 }
 
 func (sc *scratch) validate(capacity cluster.Alloc, bidders []Bidder) error {
