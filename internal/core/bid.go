@@ -108,10 +108,3 @@ func candidateSizes(offered, unmet, gang int) []int {
 	var v BidValuator
 	return v.candidateSizes(offered, unmet, gang)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

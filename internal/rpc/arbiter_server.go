@@ -527,7 +527,6 @@ func (s *ArbiterServer) notifyAgents(now float64, changed map[workload.AppID]boo
 		return
 	}
 	s.mu.Lock()
-	lease := s.arbiter.Config().LeaseDuration
 	notify := make(map[workload.AppID]cluster.Alloc, len(changed))
 	clients := make(map[workload.AppID]*AgentClient, len(changed))
 	for id := range changed {
@@ -544,9 +543,20 @@ func (s *ArbiterServer) notifyAgents(now float64, changed map[workload.AppID]boo
 		if s.Part != nil {
 			alloc = s.Part.ToGlobal(alloc)
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		_ = clients[id].DeliverAllocation(ctx, now, alloc, true, now+lease)
-		cancel()
+		s.deliverTo(clients[id], now, alloc)
+	}
+}
+
+// deliverTo sends one app its new total allocation (in global machine IDs)
+// with a 5 s timeout. A failed delivery is counted on this server's
+// themis_delivery_errors_total series and otherwise dropped: the app learns
+// its allocation from the next round's delivery.
+func (s *ArbiterServer) deliverTo(client *AgentClient, now float64, alloc cluster.Alloc) {
+	lease := s.arbiter.Config().LeaseDuration
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := client.DeliverAllocation(ctx, now, alloc, true, now+lease); err != nil {
+		s.tel.deliveryErrors.Inc()
 	}
 }
 

@@ -1,7 +1,6 @@
 package rpc
 
 import (
-	"context"
 	"fmt"
 	"net/http"
 	"sort"
@@ -50,9 +49,6 @@ type ShardedArbiterServer struct {
 	// Clock returns the scheduling time in minutes; shards inherit it so the
 	// whole deployment agrees on lease expiry.
 	Clock func() float64
-	// Membership, when set, is gossiped on /v1/gossip and reported by
-	// /v1/shards; the arbiterd -join mode installs it.
-	Membership *shard.Membership
 
 	// tel holds the deployment-wide metric handles (shard-level series live
 	// on each shard's own ArbiterServer); globalRing traces the coarse
@@ -77,10 +73,16 @@ func NewShardedArbiterServer(topo *cluster.Topology, cfg core.Config, n int) (*S
 		return nil, err
 	}
 	start := time.Now()
+	names := make([]string, n)
+	shardIdx := make(map[string]int, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("shard-%d", i)
+		shardIdx[names[i]] = i
+	}
 	s := &ShardedArbiterServer{
 		topo:       topo,
-		ring:       shard.NewRing(shard.DefaultVirtualNodes),
-		shardIdx:   make(map[string]int, n),
+		ring:       shard.NewRing(names, shard.DefaultVirtualNodes),
+		shardIdx:   shardIdx,
 		Clock:      func() float64 { return time.Since(start).Minutes() },
 		tel:        newShardedTelemetry(telemetry.Default()),
 		globalRing: telemetry.NewRoundRing(64),
@@ -96,14 +98,9 @@ func NewShardedArbiterServer(topo *cluster.Topology, cfg core.Config, n int) (*S
 		srv.bindTelemetry(strconv.Itoa(i))
 		s.shards = append(s.shards, srv)
 		s.parts = append(s.parts, p)
-		name := shardName(i)
-		s.ring.Add(name)
-		s.shardIdx[name] = i
 	}
 	return s, nil
 }
-
-func shardName(i int) string { return fmt.Sprintf("shard-%d", i) }
 
 // NumShards returns the shard count.
 func (s *ShardedArbiterServer) NumShards() int { return len(s.shards) }
@@ -350,7 +347,7 @@ func (s *ShardedArbiterServer) reconcile(now float64, allChanged map[workload.Ap
 			if c.unmet < gang {
 				break
 			}
-			chunk := minInt(c.unmet, leftover[si])
+			chunk := min(c.unmet, leftover[si])
 			chunk -= chunk % gang
 			if chunk == 0 {
 				continue
@@ -381,30 +378,16 @@ func otherShards(n, home int) []int {
 	return out
 }
 
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 // deliver sends each changed app ONE allocation message carrying its global
 // total across all shards. The callback is looked up on the app's home shard
-// (the only shard remote agents register with).
+// (the only shard remote agents register with), and a failed delivery counts
+// against that shard.
 func (s *ShardedArbiterServer) deliver(now float64, changed map[workload.AppID]bool) {
-	if len(changed) == 0 {
-		return
-	}
-	lease := s.shards[0].arbiter.Config().LeaseDuration
 	for app := range changed {
-		client := s.shards[s.HomeShard(string(app))].notifyClient(app)
-		if client == nil {
-			continue
+		home := s.shards[s.HomeShard(string(app))]
+		if client := home.notifyClient(app); client != nil {
+			home.deliverTo(client, now, s.HeldGlobal(app))
 		}
-		alloc := s.HeldGlobal(app)
-		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		_ = client.DeliverAllocation(ctx, now, alloc, true, now+lease)
-		cancel()
 	}
 }
 
@@ -430,8 +413,7 @@ func (s *ShardedArbiterServer) Status() StatusResponse {
 	return out
 }
 
-// ShardStatus reports the per-shard detail plus reconciliation telemetry and
-// the gossip membership table when one is attached.
+// ShardStatus reports the per-shard detail plus reconciliation telemetry.
 func (s *ShardedArbiterServer) ShardStatus() ShardStatusResponse {
 	s.mu.Lock()
 	out := ShardStatusResponse{Now: s.Clock(), Reconciled: s.reconciled, Rounds: s.rounds}
@@ -447,20 +429,12 @@ func (s *ShardedArbiterServer) ShardStatus() ShardStatusResponse {
 			Auctions:     st.Auctions,
 		})
 	}
-	if s.Membership != nil {
-		for _, m := range s.Membership.Members() {
-			out.Members = append(out.Members, MemberInfo{
-				Name: m.Name, Addr: m.Addr, State: string(m.State), Incarnation: m.Incarnation,
-			})
-		}
-	}
 	return out
 }
 
 // Handler serves the same protocol surface as an unsharded ArbiterServer —
-// register, auction, status, health — plus /v1/shards for per-shard detail
-// and /v1/gossip when membership is attached. Agents cannot tell whether
-// they registered with a sharded arbiter.
+// register, auction, status, health — plus /v1/shards for per-shard detail.
+// Agents cannot tell whether they registered with a sharded arbiter.
 func (s *ShardedArbiterServer) Handler() http.Handler {
 	reg := telemetry.Default()
 	mux := http.NewServeMux()
@@ -504,8 +478,5 @@ func (s *ShardedArbiterServer) Handler() http.Handler {
 	mux.Handle("/metrics", telemetry.MetricsHandler(reg))
 	mux.Handle("/healthz", telemetry.HealthzHandler())
 	mux.Handle("/debug/rounds", telemetry.RoundsHandler(s.globalRing))
-	if s.Membership != nil {
-		mux.Handle("/v1/gossip", s.Membership.Handler())
-	}
 	return mux
 }

@@ -3,6 +3,7 @@ package rpc
 import (
 	"context"
 	"fmt"
+	"hash/fnv"
 	"net/http/httptest"
 	"testing"
 
@@ -329,5 +330,45 @@ func TestShardedAuctionRecyclesValuationArenas(t *testing.T) {
 	}
 	if err := s.ValidateState(); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestHomeShardGolden pins the static shard map: the home shard of a fixed
+// list of app IDs at 2, 4 and 8 shards, plus a digest of the home shards of
+// 10000 more IDs, which catches changes too small to re-home any of the 50
+// (one vnode more or less, a tweak to the hash's low bits). The values were
+// recorded from the ring as first shipped; a change to the hash, the
+// virtual-node count or the ring's point order re-homes apps and fails here.
+func TestHomeShardGolden(t *testing.T) {
+	ids := make([]string, 0, 50)
+	for i := 0; i < 40; i++ {
+		ids = append(ids, fmt.Sprintf("app-%02d", i))
+	}
+	ids = append(ids, "app-a", "app-b", "vgg16-0", "resnet50-1", "inception-2",
+		"gnmt-3", "bert-4", "job-1000", "job-31337", "hyperband-7")
+	golden := map[int][]int{
+		2: {0, 0, 0, 0, 1, 0, 1, 1, 1, 0, 1, 0, 0, 1, 1, 1, 0, 0, 0, 1, 0, 0, 1, 0, 0, 1, 0, 1, 1, 1, 0, 0, 1, 0, 1, 1, 0, 1, 1, 1, 1, 0, 0, 1, 1, 1, 0, 1, 1, 0},
+		4: {0, 3, 0, 2, 1, 0, 1, 1, 1, 0, 2, 0, 0, 3, 3, 3, 2, 2, 0, 1, 0, 2, 1, 2, 0, 2, 2, 1, 1, 3, 2, 0, 3, 0, 2, 1, 0, 2, 3, 1, 3, 2, 2, 1, 2, 3, 0, 1, 3, 2},
+		8: {4, 3, 6, 4, 7, 0, 1, 1, 6, 4, 2, 5, 0, 4, 3, 7, 7, 4, 4, 4, 0, 2, 7, 5, 0, 6, 2, 7, 5, 6, 2, 7, 4, 0, 5, 5, 0, 2, 4, 5, 4, 2, 2, 1, 7, 6, 0, 7, 4, 2},
+	}
+	goldenDigest := map[int]uint64{2: 0xbabb7c7c247ada63, 4: 0x70c680a96cd95f0b, 8: 0xd50f9ac3cdef6e50}
+	topo := shardedTopo(t, 8, 4, 2)
+	for _, n := range []int{2, 4, 8} {
+		s, err := NewShardedArbiterServer(topo, core.Config{LeaseDuration: 20}, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, id := range ids {
+			if got, want := s.HomeShard(id), golden[n][i]; got != want {
+				t.Errorf("n=%d: HomeShard(%q) = %d, want %d", n, id, got, want)
+			}
+		}
+		h := fnv.New64a()
+		for i := 0; i < 10000; i++ {
+			h.Write([]byte{byte(s.HomeShard(fmt.Sprintf("app-%d", i)))})
+		}
+		if got := h.Sum64(); got != goldenDigest[n] {
+			t.Errorf("n=%d: home-shard digest of 10000 apps = %#x, want %#x", n, got, goldenDigest[n])
+		}
 	}
 }

@@ -20,6 +20,9 @@ type serverTelemetry struct {
 	granted  *telemetry.Counter
 	leftover *telemetry.Counter
 	winners  *telemetry.Counter
+	// deliveryErrors counts allocation deliveries to agent callbacks that
+	// failed; on a sharded deployment, the app's home shard carries it.
+	deliveryErrors *telemetry.Counter
 
 	roundDur *telemetry.Histogram
 	// phases maps round-trace span names (reclaim, probe, bid, solve,
@@ -48,6 +51,8 @@ func newServerTelemetry(reg *telemetry.Registry, shard string) *serverTelemetry 
 		granted:  reg.Counter("themis_auction_gpus_granted_total", "GPUs granted across all auction rounds.", l),
 		leftover: reg.Counter("themis_auction_gpus_leftover_total", "GPUs left unallocated by the winner-determination pass, before the leftover pass.", l),
 		winners:  reg.Counter("themis_auction_winners_total", "Auction winners (non-empty winning allocations).", l),
+
+		deliveryErrors: reg.Counter("themis_delivery_errors_total", "Allocation deliveries to agent callbacks that failed.", l),
 
 		roundDur: reg.Histogram("themis_auction_round_seconds", "End-to-end auction round latency (reclaim through grant).", nil, l),
 		phases:   make(map[string]*telemetry.Histogram, len(roundPhaseNames)),

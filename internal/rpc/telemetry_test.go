@@ -1,6 +1,9 @@
 package rpc
 
 import (
+	"net/http"
+	"net/http/httptest"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -153,4 +156,66 @@ func TestShardedRoundRecordsTelemetry(t *testing.T) {
 			t.Errorf("exposition missing %q", want)
 		}
 	}
+}
+
+// TestDeliveryFailuresAreCounted: an agent whose callback server has gone
+// away still wins GPUs (the leftover pass hands idle capacity to unmet
+// demand), so the round must succeed and the failed allocation delivery
+// must show up as exactly one themis_delivery_errors_total increment on the
+// app's shard — unsharded and sharded alike.
+func TestDeliveryFailuresAreCounted(t *testing.T) {
+	deliveryErrors := func(shard string) uint64 {
+		return telemetry.Default().Counter("themis_delivery_errors_total",
+			"Allocation deliveries to agent callbacks that failed.", telemetry.L("shard", shard)).Value()
+	}
+	deadCallback := func() string {
+		ts := httptest.NewServer(http.NotFoundHandler())
+		ts.Close()
+		return ts.URL
+	}
+	cfg := core.Config{FairnessKnob: 0, LeaseDuration: 20}
+
+	t.Run("single", func(t *testing.T) {
+		arb, err := core.NewArbiter(testTopo(t), cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		server := NewArbiterServer(arb)
+		if _, err := server.register(RegisterRequest{App: "dead-app", Callback: deadCallback(), MaxParallelism: 4}); err != nil {
+			t.Fatal(err)
+		}
+		before := deliveryErrors("single")
+		resp, err := server.RunAuction(0)
+		if err != nil {
+			t.Fatalf("round failed on an undeliverable allocation: %v", err)
+		}
+		if len(resp.Decisions) != 1 {
+			t.Fatalf("decisions = %v, want the dead app granted GPUs", resp.Decisions)
+		}
+		if got := deliveryErrors("single") - before; got != 1 {
+			t.Errorf("delivery errors advanced by %d, want 1", got)
+		}
+	})
+
+	t.Run("sharded", func(t *testing.T) {
+		s, err := NewShardedArbiterServer(testTopo(t), cfg, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := s.Register(RegisterRequest{App: "dead-app", Callback: deadCallback(), MaxParallelism: 4}); err != nil {
+			t.Fatal(err)
+		}
+		home := strconv.Itoa(s.HomeShard("dead-app"))
+		before := deliveryErrors(home)
+		resp, err := s.RunAuction(0)
+		if err != nil {
+			t.Fatalf("round failed on an undeliverable allocation: %v", err)
+		}
+		if len(resp.Decisions) != 1 {
+			t.Fatalf("decisions = %v, want the dead app granted GPUs", resp.Decisions)
+		}
+		if got := deliveryErrors(home) - before; got != 1 {
+			t.Errorf("delivery errors on home shard %s advanced by %d, want 1", home, got)
+		}
+	})
 }

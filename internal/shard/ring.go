@@ -1,12 +1,10 @@
-// Package shard partitions a Themis deployment across arbiter shards: a
-// consistent-hash ring maps every app to its home shard, Split carves the
-// cluster topology into per-shard capacity partitions, and Membership keeps
-// a lightweight HTTP gossip/heartbeat protocol (with configurable suspicion
-// timeouts) so arbiterd processes discover each other and agree on the ring.
-//
-// The package is deliberately self-contained — plain data structures plus
-// net/http — so both the in-process sharded arbiter (arbiterd -shards) and
-// the multi-process deployment (arbiterd -join) build on the same pieces.
+// Package shard partitions one Themis arbiter's work across a fixed set of
+// shards: a consistent-hash ring maps every app to its home shard, and Split
+// carves the cluster topology into per-shard capacity partitions. The shard
+// map is static — built once from the shard count and never rebalanced — so
+// every process that knows the topology and the shard count computes the
+// same routing. The in-process sharded arbiter (arbiterd -shards) is built
+// on these two pieces.
 package shard
 
 import (
@@ -20,15 +18,12 @@ import (
 // the per-member imbalance under ~15% for small member counts.
 const DefaultVirtualNodes = 64
 
-// Ring is a consistent-hash ring with virtual nodes. The app→shard mapping
-// depends only on the member set and the vnode count — never on insertion
-// order — so every process that knows the same membership computes the same
-// routing. Ring is a value-style structure: not safe for concurrent mutation,
-// cheap to rebuild from a membership snapshot.
+// Ring is an immutable consistent-hash ring with virtual nodes. The
+// app→member mapping depends only on the member set and the vnode count —
+// never on the order members are listed in — so a ring over the same shard
+// names always routes the same way.
 type Ring struct {
-	vnodes  int
-	members map[string]bool
-	points  []ringPoint // sorted by (hash, owner)
+	points []ringPoint // sorted by (hash, owner)
 }
 
 type ringPoint struct {
@@ -36,13 +31,25 @@ type ringPoint struct {
 	owner string
 }
 
-// NewRing returns an empty ring with the given virtual-node count per member
-// (<= 0 uses DefaultVirtualNodes).
-func NewRing(vnodes int) *Ring {
+// NewRing builds the ring over members with the given virtual-node count per
+// member (<= 0 uses DefaultVirtualNodes).
+func NewRing(members []string, vnodes int) *Ring {
 	if vnodes <= 0 {
 		vnodes = DefaultVirtualNodes
 	}
-	return &Ring{vnodes: vnodes, members: make(map[string]bool)}
+	points := make([]ringPoint, 0, len(members)*vnodes)
+	for _, m := range members {
+		for v := 0; v < vnodes; v++ {
+			points = append(points, ringPoint{hash: hash64(fmt.Sprintf("%s#%d", m, v)), owner: m})
+		}
+	}
+	sort.Slice(points, func(i, j int) bool {
+		if points[i].hash != points[j].hash {
+			return points[i].hash < points[j].hash
+		}
+		return points[i].owner < points[j].owner
+	})
+	return &Ring{points: points}
 }
 
 // hash64 is the ring's point and key hash: FNV-1a finished with a
@@ -61,57 +68,6 @@ func hash64(s string) uint64 {
 	x ^= x >> 31
 	return x
 }
-
-// Add inserts a member; re-adding is a no-op.
-func (r *Ring) Add(member string) {
-	if member == "" || r.members[member] {
-		return
-	}
-	r.members[member] = true
-	for v := 0; v < r.vnodes; v++ {
-		r.points = append(r.points, ringPoint{hash: hash64(fmt.Sprintf("%s#%d", member, v)), owner: member})
-	}
-	r.sortPoints()
-}
-
-// Remove deletes a member; removing an unknown member is a no-op. Only the
-// keys the member owned remap (to their next point clockwise) — everything
-// else keeps its owner, the property that makes membership churn cheap.
-func (r *Ring) Remove(member string) {
-	if !r.members[member] {
-		return
-	}
-	delete(r.members, member)
-	kept := r.points[:0]
-	for _, p := range r.points {
-		if p.owner != member {
-			kept = append(kept, p)
-		}
-	}
-	r.points = kept
-}
-
-func (r *Ring) sortPoints() {
-	sort.Slice(r.points, func(i, j int) bool {
-		if r.points[i].hash != r.points[j].hash {
-			return r.points[i].hash < r.points[j].hash
-		}
-		return r.points[i].owner < r.points[j].owner
-	})
-}
-
-// Members returns the member names in sorted order.
-func (r *Ring) Members() []string {
-	out := make([]string, 0, len(r.members))
-	for m := range r.members {
-		out = append(out, m)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// Size returns the number of members.
-func (r *Ring) Size() int { return len(r.members) }
 
 // Lookup returns the member owning key: the owner of the first ring point at
 // or after the key's hash, wrapping around. An empty ring returns "".

@@ -6,34 +6,26 @@ import (
 )
 
 func TestRingDeterministicLookup(t *testing.T) {
-	// The mapping must depend only on the member set, never on insertion
-	// order: every process computing the ring from a membership snapshot has
-	// to agree on routing.
-	a := NewRing(0)
-	for _, m := range []string{"shard-0", "shard-1", "shard-2", "shard-3"} {
-		a.Add(m)
-	}
-	b := NewRing(0)
-	for _, m := range []string{"shard-3", "shard-1", "shard-0", "shard-2"} {
-		b.Add(m)
-	}
+	// The mapping must depend only on the member set, never on the order
+	// members are listed in: two rings over the same shard names route
+	// identically.
+	a := NewRing([]string{"shard-0", "shard-1", "shard-2", "shard-3"}, 0)
+	b := NewRing([]string{"shard-3", "shard-1", "shard-0", "shard-2"}, 0)
 	for i := 0; i < 1000; i++ {
 		key := fmt.Sprintf("app-%d", i)
 		if got, want := a.Lookup(key), b.Lookup(key); got != want {
-			t.Fatalf("lookup(%q) depends on insertion order: %q vs %q", key, got, want)
+			t.Fatalf("lookup(%q) depends on member order: %q vs %q", key, got, want)
 		}
-	}
-	if a.Size() != 4 {
-		t.Errorf("size = %d, want 4", a.Size())
 	}
 }
 
 func TestRingBalance(t *testing.T) {
-	r := NewRing(DefaultVirtualNodes)
 	n := 4
-	for i := 0; i < n; i++ {
-		r.Add(fmt.Sprintf("shard-%d", i))
+	members := make([]string, n)
+	for i := range members {
+		members[i] = fmt.Sprintf("shard-%d", i)
 	}
+	r := NewRing(members, DefaultVirtualNodes)
 	counts := make(map[string]int)
 	keys := 10000
 	for i := 0; i < keys; i++ {
@@ -51,53 +43,12 @@ func TestRingBalance(t *testing.T) {
 	}
 }
 
-func TestRingRemoveOnlyRemapsRemovedOwner(t *testing.T) {
-	r := NewRing(0)
-	for i := 0; i < 4; i++ {
-		r.Add(fmt.Sprintf("shard-%d", i))
-	}
-	before := make(map[string]string)
-	for i := 0; i < 2000; i++ {
-		key := fmt.Sprintf("app-%d", i)
-		before[key] = r.Lookup(key)
-	}
-	r.Remove("shard-2")
-	for key, owner := range before {
-		after := r.Lookup(key)
-		if owner == "shard-2" {
-			if after == "shard-2" {
-				t.Fatalf("key %q still maps to removed member", key)
-			}
-			continue
-		}
-		if after != owner {
-			t.Errorf("key %q moved %q -> %q though its owner stayed", key, owner, after)
-		}
-	}
-	if r.Size() != 3 {
-		t.Errorf("size after remove = %d, want 3", r.Size())
-	}
-}
-
 func TestRingEdgeCases(t *testing.T) {
-	r := NewRing(8)
-	if r.Lookup("anything") != "" {
+	if NewRing(nil, 8).Lookup("anything") != "" {
 		t.Error("empty ring should return empty owner")
 	}
-	r.Add("")
-	if r.Size() != 0 {
-		t.Error("empty member name must be ignored")
-	}
-	r.Add("only")
-	r.Add("only") // re-add is a no-op
-	if r.Size() != 1 || len(r.Members()) != 1 {
-		t.Errorf("re-add changed membership: %v", r.Members())
-	}
+	r := NewRing([]string{"only"}, 8)
 	if r.Lookup("x") != "only" || r.Lookup("y") != "only" {
 		t.Error("single member must own every key")
-	}
-	r.Remove("ghost") // unknown removal is a no-op
-	if r.Size() != 1 {
-		t.Error("removing unknown member changed the ring")
 	}
 }
