@@ -82,18 +82,18 @@ func (ag *Agent) PrepareBid(now float64, offer, current cluster.Alloc) BidTable 
 }
 
 // prepareBidInto is PrepareBid with caller-owned scratch: the valuator
-// provides the candidate-size, gang-count and dedup buffers, and entries is
-// the (possibly recycled) backing buffer for the table rows. The candidate
-// enumeration order and the valuation math are exactly PrepareBid's — the
-// batched and standalone paths must stay bit-identical.
+// provides the candidate-size, gang-count and placement buffers, and entries
+// is the (possibly recycled) backing buffer for the table rows. Row k is
+// built in the Alloc map a previous round left in slot k of that buffer (see
+// rowAlloc), so the table's maps live exactly as long as the buffer's next
+// reuse. The candidate enumeration order and the valuation math are exactly
+// PrepareBid's — the batched and standalone paths must stay bit-identical.
 func (ag *Agent) prepareBidInto(now float64, offer, current cluster.Alloc, v *BidValuator, entries []BidEntry) BidTable {
-	arena := v.Arena()
-	table := BidTable{App: ag.App.ID, Entries: entries}
-	table.Entries = append(table.Entries, BidEntry{
-		Alloc: arena.Sparse(),
+	table := BidTable{App: ag.App.ID, Entries: append(entries, BidEntry{
+		Alloc: rowAlloc(entries),
 		Rho:   ag.Estimator.CurrentRho(now, current),
-	})
-	gang := ag.typicalGangSizeWith(v)
+	})}
+	gang := ag.gangSize(v.gangCounts())
 	sizes := v.candidateSizes(offer.Total(), ag.UnmetParallelism(current), gang)
 	maxRows := ag.MaxBidRows
 	if maxRows <= 0 {
@@ -107,7 +107,7 @@ func (ag *Agent) prepareBidInto(now float64, offer, current cluster.Alloc, v *Bi
 		if ag.PlacementBlind {
 			candidate = spreadCandidate(offer, size)
 		} else {
-			candidate = v.picker.PickInto(arena.Sparse(), ag.Estimator.Topo, offer, current, size)
+			candidate = v.picker.PickInto(rowAlloc(table.Entries), ag.Estimator.Topo, offer, current, size)
 		}
 		if candidate.Total() == 0 {
 			continue
@@ -132,6 +132,19 @@ func (ag *Agent) prepareBidInto(now float64, offer, current cluster.Alloc, v *Bi
 		})
 	}
 	return table
+}
+
+// rowAlloc returns the map for the row about to be appended to entries: the
+// one a previous round left in that slot of the backing array, cleared, or a
+// new map when the slot has none.
+func rowAlloc(entries []BidEntry) cluster.Alloc {
+	if k := len(entries); k < cap(entries) {
+		if m := entries[:k+1][k].Alloc; m != nil {
+			clear(m)
+			return m
+		}
+	}
+	return cluster.NewAlloc()
 }
 
 // spreadCandidate picks count GPUs one machine at a time in ID order — the
@@ -163,20 +176,13 @@ func spreadCandidate(offer cluster.Alloc, count int) cluster.Alloc {
 // GangSize returns the gang size the app's active jobs typically need (the
 // mode across active jobs, falling back to 1); the Arbiter uses it as the
 // chunk size for leftover grants.
-func (ag *Agent) GangSize() int { return ag.typicalGangSize() }
+func (ag *Agent) GangSize() int { return ag.gangSize(make(map[int]int)) }
 
-// typicalGangSize returns the gang size the app's active jobs need (the mode
-// across active jobs, falling back to 1).
-func (ag *Agent) typicalGangSize() int {
-	var v BidValuator
-	return ag.typicalGangSizeWith(&v)
-}
-
-// typicalGangSizeWith is typicalGangSize over the valuator's reused tally
-// map. The mode tie-break ((count, gang) lexicographic max) is independent of
-// map iteration order, so the result is deterministic.
-func (ag *Agent) typicalGangSizeWith(v *BidValuator) int {
-	counts := v.gangCounts()
+// gangSize is GangSize tallying into counts, which must be empty (the
+// valuator passes its reused map). The mode tie-break ((count, gang)
+// lexicographic max) is independent of map iteration order, so the result is
+// deterministic.
+func (ag *Agent) gangSize(counts map[int]int) int {
 	for _, j := range ag.App.Jobs {
 		if !j.Active() {
 			continue

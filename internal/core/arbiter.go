@@ -52,8 +52,9 @@ type Arbiter struct {
 	topo *cluster.Topology
 
 	// val batches each round's bid preparation, recycling the valuation
-	// scratch (candidate-size sets, gang tallies, dedup maps, entry buffers)
-	// across auctions instead of reallocating it per participant.
+	// scratch (candidate-size sets, gang tallies, entry buffers and the
+	// candidate maps in them) across auctions instead of reallocating it per
+	// participant.
 	val BidValuator
 
 	// Stats accumulates scheduling telemetry (auction counts, latencies).
@@ -177,11 +178,6 @@ func (a *Arbiter) OfferResources(now float64, free cluster.Alloc, agents []Agent
 	if free.Total() == 0 || len(agents) == 0 {
 		return nil, nil
 	}
-	// The round's candidate allocations are lent from the valuator's arena;
-	// they are only referenced by the bid tables and the auction's internal
-	// results, both dead once the decisions (which hold fresh maps) are
-	// returned. Recycle them when the round is over, whichever way it ends.
-	defer a.val.EndRound()
 	start := time.Now()
 	a.Stats.Auctions++
 	a.Stats.GPUsAuctioned += free.Total()
@@ -210,6 +206,9 @@ func (a *Arbiter) OfferResources(now float64, free cluster.Alloc, agents []Agent
 
 	// Step 3: collect bids from the participants, batched through the
 	// Arbiter's valuator so the round reuses the previous round's scratch.
+	// The bid tables and their candidate maps stay valid until the next
+	// round's prepareBids rebuilds them; no decision aliases one, because
+	// every auction grant is a Clone or a fresh pick (scaleAllocation).
 	bidding := ps[:participants]
 	bids := a.val.prepareBids(now, free, bidding)
 	bid := time.Now()
@@ -351,11 +350,3 @@ func rhoOfWin(bid BidTable, won cluster.Alloc) float64 {
 // SolverOptions exposes the solver options used by the auction, for
 // benchmarks that want to compare exact and heuristic winner determination.
 func (c *Config) SolverOptions() *solver.Options { return &c.Auction.Solver }
-
-// ValuationArenaStats reports the valuator arena's sparse-map accounting
-// (maps currently lent, maps parked in the free list). Tests use it to pin
-// that auction rounds recycle their candidate allocations.
-func (a *Arbiter) ValuationArenaStats() (lent, free int) {
-	ar := a.val.Arena()
-	return ar.Lent(), ar.FreeSparse()
-}

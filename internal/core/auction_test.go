@@ -125,7 +125,11 @@ func TestAgentSplitForJobs(t *testing.T) {
 }
 
 func TestCandidateSizes(t *testing.T) {
-	sizes := candidateSizes(16, 12, 4)
+	fresh := func(offered, unmet, gang int) []int {
+		var v BidValuator
+		return v.candidateSizes(offered, unmet, gang)
+	}
+	sizes := fresh(16, 12, 4)
 	if len(sizes) == 0 {
 		t.Fatal("no candidate sizes")
 	}
@@ -137,10 +141,10 @@ func TestCandidateSizes(t *testing.T) {
 	if sizes[len(sizes)-1] != 12 {
 		t.Errorf("largest candidate %d, want the unmet parallelism 12", sizes[len(sizes)-1])
 	}
-	if candidateSizes(0, 5, 4) != nil || candidateSizes(5, 0, 4) != nil {
+	if fresh(0, 5, 4) != nil || fresh(5, 0, 4) != nil {
 		t.Error("no sizes should be produced when offer or need is zero")
 	}
-	one := candidateSizes(100, 3, 0)
+	one := fresh(100, 3, 0)
 	if one[len(one)-1] != 3 {
 		t.Errorf("gang 0 should default to 1, got %v", one)
 	}

@@ -96,15 +96,3 @@ func (t BidTable) Validate(offer cluster.Alloc) error {
 	}
 	return nil
 }
-
-// candidateSizes returns the GPU counts an Agent bids on, given the total
-// offered GPUs, the app's unmet parallelism and its gang size. The Agent
-// bids on every gang-size multiple up to a small cap, then doubles, always
-// including the largest useful size — bounding the table so bid preparation
-// stays cheap (§8.3.2) while covering the allocations that matter. The
-// enumeration itself lives on BidValuator so the Arbiter's batched rounds
-// can reuse its scratch; this wrapper serves standalone callers and tests.
-func candidateSizes(offered, unmet, gang int) []int {
-	var v BidValuator
-	return v.candidateSizes(offered, unmet, gang)
-}

@@ -10,10 +10,11 @@ import (
 // BidValuator batches bid-table preparation across the participants of one
 // auction round, reusing the scratch that a standalone PrepareBid call
 // allocates per app: the candidate-size set and slice, the gang-size counts,
-// the candidate dedup map, the per-participant entry buffers and the bid
-// slice itself. The Arbiter owns one valuator and runs every round's step 3
-// through it, so in steady state bid preparation recycles one round's
-// buffers into the next instead of leaving them to the collector.
+// the per-participant entry buffers with the candidate maps left in their
+// slots, and the bid slice itself. The Arbiter owns one valuator and runs
+// every round's step 3 through it, so in steady state bid preparation
+// recycles one round's buffers into the next instead of leaving them to the
+// collector.
 //
 // Batching is an optimisation only: the tables produced are bit-identical to
 // per-app PrepareBid calls (same candidate enumeration order, same float
@@ -27,38 +28,16 @@ type BidValuator struct {
 	bids    []BidTable
 	entries [][]BidEntry
 
-	// arena lends the round's candidate Alloc maps (the per-entry
-	// allocations that previously escaped into auction results and defeated
-	// pooling). The Arbiter resets it once the round's grants have been
-	// applied; everything kept past the round is cloned out first.
-	arena *cluster.AllocArena
 	// picker reuses placement scratch across candidate picks.
 	picker placement.Picker
-}
-
-// Arena returns the valuator's round-scoped allocation arena, creating it on
-// first use.
-func (v *BidValuator) Arena() *cluster.AllocArena {
-	if v.arena == nil {
-		v.arena = cluster.NewAllocArena()
-	}
-	return v.arena
-}
-
-// EndRound recycles every candidate allocation lent during the round. Call
-// only after the round's results have been applied (or cloned): the bid
-// tables returned by prepareBids alias the arena's maps.
-func (v *BidValuator) EndRound() {
-	if v.arena != nil {
-		v.arena.Reset()
-	}
 }
 
 // prepareBids values an offer for every bidding participant. In-process
 // *Agent bidders run through the scratch-reusing path; any other Bidder
 // (e.g. the rpc package's remote agents) falls back to its own PrepareBid.
-// The returned slice and the Entries backing arrays are owned by the
-// valuator and valid until the next prepareBids call — exactly the lifetime
+// The returned slice, the Entries backing arrays and the candidate maps in
+// them are owned by the valuator and valid until the next prepareBids call,
+// which clears and refills each map in place — exactly the lifetime
 // OfferResources needs (the auction copies what it keeps).
 func (v *BidValuator) prepareBids(now float64, offer cluster.Alloc, bidding []probedAgent) []BidTable {
 	bids := v.bids[:0]
@@ -78,10 +57,13 @@ func (v *BidValuator) prepareBids(now float64, offer cluster.Alloc, bidding []pr
 	return bids
 }
 
-// candidateSizes computes the GPU counts an Agent bids on (see the package
-// function candidateSizes for the enumeration contract), reusing the
-// valuator's set and output slice. The returned slice is valid until the
-// next call.
+// candidateSizes returns the GPU counts an Agent bids on, given the total
+// offered GPUs, the app's unmet parallelism and its gang size. The Agent
+// bids on every gang-size multiple up to a small cap, then doubles, always
+// including the largest useful size — bounding the table so bid preparation
+// stays cheap (§8.3.2) while covering the allocations that matter. The
+// valuator's set and output slice are reused; the returned slice is valid
+// until the next call.
 func (v *BidValuator) candidateSizes(offered, unmet, gang int) []int {
 	if offered <= 0 || unmet <= 0 {
 		return nil

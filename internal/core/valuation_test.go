@@ -74,52 +74,52 @@ func TestBatchedBidEquivalence(t *testing.T) {
 	}
 }
 
-// TestValuatorCandidateSizesMatchesPackage pins that the valuator's scratch-
-// reusing size enumeration is the package function's (which now delegates to
-// it), including across repeated calls that reuse the internal set.
+// TestValuatorCandidateSizesMatchesPackage pins that one valuator reusing its
+// size set and output slice across calls enumerates exactly what a fresh
+// valuator does for the same arguments.
 func TestValuatorCandidateSizesMatchesPackage(t *testing.T) {
 	var v BidValuator
 	cases := []struct{ offered, unmet, gang int }{
 		{0, 10, 2}, {10, 0, 2}, {64, 64, 1}, {64, 17, 4}, {5, 100, 8}, {3, 3, 2}, {128, 96, 2},
 	}
 	for _, c := range cases {
-		want := candidateSizes(c.offered, c.unmet, c.gang)
+		var fresh BidValuator
+		want := fresh.candidateSizes(c.offered, c.unmet, c.gang)
 		got := v.candidateSizes(c.offered, c.unmet, c.gang)
 		if !reflect.DeepEqual(append([]int(nil), got...), want) {
-			t.Errorf("candidateSizes(%d,%d,%d): valuator %v, package %v", c.offered, c.unmet, c.gang, got, want)
+			t.Errorf("candidateSizes(%d,%d,%d): reused valuator %v, fresh %v", c.offered, c.unmet, c.gang, got, want)
 		}
 	}
 }
 
-// TestBidValuationBatchZeroAlloc pins the core half of the PR's allocation
+// TestBidValuationBatchZeroAlloc pins the core half of the allocation
 // contract (TestEventCoreZeroAlloc in internal/sim is the sim half): once the
-// valuator's scratch, arena and picker have reached steady-state capacity, a
-// full round lifecycle — every participant's bid table prepared, then the
-// round's candidate allocations recycled by EndRound — is 0 allocs/op.
+// valuator's scratch, entry buffers and picker have reached steady-state
+// capacity, preparing every participant's bid table — each row built in the
+// candidate map the previous round left in its slot — is 0 allocs/op.
 func TestBidValuationBatchZeroAlloc(t *testing.T) {
 	if race.Enabled {
 		t.Skip("race instrumentation allocates; zero-alloc contract is checked without -race")
 	}
 	ps, free := valuationFixture(t, 16)
 	var v BidValuator
-	for i := 0; i < 8; i++ { // warm up scratch, arena free list, entry buffers
+	for i := 0; i < 8; i++ { // warm up scratch, entry buffers and their maps
 		v.prepareBids(0, free, ps)
-		v.EndRound()
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		v.prepareBids(0, free, ps)
-		v.EndRound()
 	})
 	if allocs != 0 {
 		t.Errorf("steady-state valuation round allocates %.1f objects/op, want 0", allocs)
 	}
 }
 
-// TestArbiterRecyclesValuationArena pins the arena lifecycle at the Arbiter
-// level: every candidate allocation lent to a round's bid tables is back on
-// the arena free list when OfferResources returns, and subsequent rounds run
-// on the recycled maps instead of growing the arena.
-func TestArbiterRecyclesValuationArena(t *testing.T) {
+// TestCandidateMapLifetimes pins the lifetime rule of the valuator's
+// recycled candidate maps over Arbiter rounds whose offers and participant
+// counts shrink and grow: within a round every bid row owns its own map, and
+// the decisions OfferResources returns never alias one, so later rounds
+// rebuilding those maps in place leave earlier decisions intact.
+func TestCandidateMapLifetimes(t *testing.T) {
 	ps, free := valuationFixture(t, 12)
 	topo := ps[0].state.Agent.(*Agent).Estimator.Topo
 	arb, err := NewArbiter(topo, Config{FairnessKnob: 0.5, LeaseDuration: 20})
@@ -127,45 +127,77 @@ func TestArbiterRecyclesValuationArena(t *testing.T) {
 		t.Fatal(err)
 	}
 	states := make([]AgentState, 0, len(ps))
-	for _, p := range ps {
+	for i, p := range ps {
+		if i%4 == 0 { // short tables, so a slot's row count changes with its bidder
+			p.state.Agent.(*Agent).MaxBidRows = 2
+		}
 		states = append(states, p.state)
 	}
-	var freeListAfterFirst int
-	for round := 0; round < 3; round++ {
-		if _, err := arb.OfferResources(float64(round), free, states); err != nil {
+	// part keeps the free GPUs on the first n machines.
+	part := func(n int) cluster.Alloc {
+		out := cluster.NewAlloc()
+		for m, g := range free {
+			if int(m) < n {
+				out[m] = g
+			}
+		}
+		return out
+	}
+	rounds := []struct {
+		offer  cluster.Alloc
+		agents int
+	}{
+		{free, 12}, {part(4), 6}, {part(10), 12}, {part(2), 2}, {free, 8}, {part(6), 12},
+	}
+	type kept struct{ got, want []Allocation }
+	var history []kept
+	for r, rd := range rounds {
+		got, err := arb.OfferResources(float64(r), rd.offer, states[:rd.agents])
+		if err != nil {
 			t.Fatal(err)
 		}
-		lent, parked := arb.ValuationArenaStats()
-		if lent != 0 {
-			t.Fatalf("round %d: %d candidate allocations still lent after OfferResources", round, lent)
+		rows := make(map[uintptr]string)
+		for _, b := range arb.val.bids {
+			for k, e := range b.Entries {
+				p := reflect.ValueOf(e.Alloc).Pointer()
+				if prev, ok := rows[p]; ok {
+					t.Fatalf("round %d: %s row %d shares its map with %s", r, b.App, k, prev)
+				}
+				rows[p] = fmt.Sprintf("%s row %d", b.App, k)
+			}
 		}
-		if parked == 0 {
-			t.Fatalf("round %d: arena free list empty — candidates were never arena-lent", round)
+		if len(rows) == 0 {
+			t.Fatalf("round %d: no bid rows", r)
 		}
-		if round == 0 {
-			freeListAfterFirst = parked
-		} else if parked != freeListAfterFirst {
-			t.Errorf("round %d: arena free list %d, want steady-state %d (maps should be recycled, not re-made)",
-				round, parked, freeListAfterFirst)
+		want := make([]Allocation, len(got))
+		for i, d := range got {
+			if owner, ok := rows[reflect.ValueOf(d.Alloc).Pointer()]; ok {
+				t.Errorf("round %d: decision for %s aliases bid %s", r, d.App, owner)
+			}
+			want[i] = d
+			want[i].Alloc = d.Alloc.Clone()
+		}
+		history = append(history, kept{got, want})
+		for pr, h := range history {
+			if !reflect.DeepEqual(h.got, h.want) {
+				t.Fatalf("after round %d: round %d decisions changed:\n got %v\nwant %v", r, pr, h.got, h.want)
+			}
 		}
 	}
 }
 
 // BenchmarkBidValuationBatch measures one auction round's batched bid
-// preparation — the internal/core hot path the arena work targets. Each
-// iteration is a full round lifecycle as the Arbiter drives it: prepare every
-// participant's table, then EndRound returns the candidate allocations to the
-// arena, so in steady state the round runs on recycled maps.
+// preparation — the internal/core hot path. Each iteration prepares every
+// participant's table as the Arbiter does, so in steady state the round
+// rebuilds the previous round's candidate maps in place.
 func BenchmarkBidValuationBatch(b *testing.B) {
 	ps, free := valuationFixture(b, 16)
 	var v BidValuator
 	v.prepareBids(0, free, ps) // prime the scratch
-	v.EndRound()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		v.prepareBids(0, free, ps)
-		v.EndRound()
 	}
 }
 

@@ -76,14 +76,16 @@ func (r *RemoteBidder) ReportRho(now float64, current cluster.Alloc) float64 {
 
 // PrepareBid implements core.Bidder over HTTP. Offers cross the wire in
 // global machine IDs; the returned bid is translated back into the shard's
-// local space (entries naming machines outside the shard degrade to the
-// empty bid, like an unreachable agent).
+// local space. A bid the auction would reject — entries naming machines
+// outside the shard, another app's table, a row asking for more than was
+// offered, no empty row — degrades to the empty bid, like an unreachable
+// agent, so one misbehaving agent never fails the whole round.
 func (r *RemoteBidder) PrepareBid(now float64, offer, current cluster.Alloc) core.BidTable {
 	ctx, cancel := r.ctx()
 	defer cancel()
 	empty := core.BidTable{App: r.AppID, Entries: []core.BidEntry{{Alloc: cluster.NewAlloc(), Rho: 1}}}
 	bid, err := r.Client.RequestBid(ctx, now, r.toGlobal(offer), r.toGlobal(current))
-	if err != nil || len(bid.Entries) == 0 {
+	if err != nil {
 		return empty
 	}
 	if r.Map != nil {
@@ -94,6 +96,9 @@ func (r *RemoteBidder) PrepareBid(now float64, offer, current cluster.Alloc) cor
 			}
 			bid.Entries[i].Alloc = local
 		}
+	}
+	if bid.App != r.AppID || bid.Validate(offer) != nil {
+		return empty
 	}
 	return bid
 }
@@ -488,8 +493,7 @@ func (s *ArbiterServer) auctionRound(now float64) (AuctionResponse, map[workload
 // per completed round — empty rounds included.
 func (s *ArbiterServer) finishRound(rd *telemetry.Round, start time.Time, leases, freeGPUs int) {
 	rd.Total = time.Since(start)
-	lent, parked := s.arbiter.ValuationArenaStats()
-	s.tel.record(rd, s.ring, leases, freeGPUs, lent, parked)
+	s.tel.record(rd, s.ring, leases, freeGPUs)
 }
 
 // reconcileGrant hands chunk free GPUs to app during the sharded

@@ -2,6 +2,7 @@ package rpc
 
 import (
 	"context"
+	"net/http"
 	"net/http/httptest"
 	"testing"
 
@@ -223,5 +224,70 @@ func TestRemoteBidderDegradesGracefully(t *testing.T) {
 	}
 	if (&RemoteBidder{}).GangSize() != 1 {
 		t.Error("zero gang should default to 1")
+	}
+}
+
+// TestBadRemoteBidDegradesToEmpty pins that one agent answering with a bid
+// the auction would reject costs only that agent its turn: the round still
+// succeeds and the well-behaved agents still win GPUs.
+func TestBadRemoteBidDegradesToEmpty(t *testing.T) {
+	bad := map[string]BidResponse{
+		"over-asks": {App: "greedy", Rows: []BidRow{
+			{Alloc: ToWireAlloc(cluster.NewAlloc()), Rho: 100},
+			{Alloc: ToWireAlloc(cluster.Alloc{0: 1000}), Rho: 1},
+		}},
+		"wrong app": {App: "app-a", Rows: []BidRow{
+			{Alloc: ToWireAlloc(cluster.NewAlloc()), Rho: 100},
+			{Alloc: ToWireAlloc(cluster.Alloc{0: 4}), Rho: 1},
+		}},
+		"no empty row": {App: "greedy", Rows: []BidRow{
+			{Alloc: ToWireAlloc(cluster.Alloc{0: 4}), Rho: 1},
+		}},
+	}
+	for name, bid := range bad {
+		t.Run(name, func(t *testing.T) {
+			topo := testTopo(t)
+			arb, err := core.NewArbiter(topo, core.Config{FairnessKnob: 0, LeaseDuration: 20})
+			if err != nil {
+				t.Fatal(err)
+			}
+			server := NewArbiterServer(arb)
+			ts := httptest.NewServer(server.Handler())
+			defer ts.Close()
+			greedy := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				switch r.URL.Path {
+				case "/v1/rho":
+					writeJSON(w, RhoResponse{App: "greedy", Rho: 100})
+				case "/v1/bid":
+					writeJSON(w, bid)
+				default:
+					writeJSON(w, map[string]bool{"ok": true})
+				}
+			}))
+			defer greedy.Close()
+
+			arbClient := NewArbiterClient(ts.URL)
+			ctx := context.Background()
+			urlA, _ := startAgent(t, topo, testApp("app-a", 2, 300))
+			urlB, _ := startAgent(t, topo, testApp("app-b", 2, 300))
+			for _, reg := range []struct{ app, url string }{{"app-a", urlA}, {"app-b", urlB}, {"greedy", greedy.URL}} {
+				if _, err := arbClient.Register(ctx, reg.app, reg.url, 8); err != nil {
+					t.Fatal(err)
+				}
+			}
+			auction, err := arbClient.TriggerAuction(ctx)
+			if err != nil {
+				t.Fatalf("one bad bid failed the round: %v", err)
+			}
+			for _, app := range []string{"app-a", "app-b"} {
+				alloc, err := auction.Decisions[app].ToAlloc()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if alloc.Total() == 0 {
+					t.Errorf("%s won nothing beside the bad bidder: %v", app, auction.Decisions)
+				}
+			}
+		})
 	}
 }

@@ -9,7 +9,6 @@ import (
 
 	"themis/internal/cluster"
 	"themis/internal/core"
-	"themis/internal/hyperparam"
 	"themis/internal/workload"
 )
 
@@ -295,41 +294,6 @@ func TestShardedRegisterRoutesToHomeShard(t *testing.T) {
 				t.Fatalf("app %s: registered on shard %d, home is %d", id, idx, home)
 			}
 		}
-	}
-}
-
-// TestShardedAuctionRecyclesValuationArenas pins the per-shard arena
-// lifecycle: in-process Agents bid through each shard arbiter's valuator
-// arena, and every candidate allocation lent during a sharded round —
-// per-shard auctions plus reconciliation — is back on its shard's free list
-// when RunAuction returns. Each shard owns its own arena, so the concurrent
-// per-shard rounds never share lending state.
-func TestShardedAuctionRecyclesValuationArenas(t *testing.T) {
-	topo := shardedTopo(t, 8, 4, 2)
-	s, err := NewShardedArbiterServer(topo, core.Config{FairnessKnob: 0, LeaseDuration: 20}, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 6; i++ {
-		app := testApp(fmt.Sprintf("arena-%02d", i), 2, 200)
-		s.RegisterBidder(core.NewAgent(topo, app, hyperparam.ForApp(app), nil))
-	}
-	for round := 0; round < 3; round++ {
-		if _, err := s.RunAuction(float64(round) * 25); err != nil {
-			t.Fatal(err)
-		}
-		for idx := 0; idx < s.NumShards(); idx++ {
-			lent, parked := s.Shard(idx).arbiter.ValuationArenaStats()
-			if lent != 0 {
-				t.Fatalf("round %d shard %d: %d candidate allocations still lent after RunAuction", round, idx, lent)
-			}
-			if parked == 0 && len(s.Shard(idx).snapshotAgents()) > 0 {
-				t.Errorf("round %d shard %d: arena free list empty despite homed agents — candidates were never arena-lent", round, idx)
-			}
-		}
-	}
-	if err := s.ValidateState(); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -2,9 +2,10 @@
 // cluster.Alloc maps as its currency, but internally every instance is
 // compiled to flat vectors once and the search never touches a Go map:
 //
-//   - capacity and the incrementally maintained `used` vector are
-//     cluster.DenseAlloc ([]int32 indexed by MachineID, offset-shifted so
-//     arbitrary ID ranges still work),
+//   - capacity and the incrementally maintained `used` vector are plain
+//     []int32 GPUs-per-machine vectors indexed by MachineID, offset-shifted
+//     so arbitrary ID ranges still work (the solver is the only code that
+//     computes on vectors, so the representation is private to it),
 //   - each bundle is a (value, log value, total, term-range) record whose
 //     non-zero machine terms live in one shared flat []term slice,
 //   - bidders are index-ordered slices, so greedy and pair-move tie-breaks
@@ -51,9 +52,8 @@ type denseBundle struct {
 // scratchPool. It is single-goroutine state; concurrent Solve calls each
 // borrow their own.
 type scratch struct {
-	arena    *cluster.AllocArena
-	capacity cluster.DenseAlloc
-	used     cluster.DenseAlloc
+	capacity []int32
+	used     []int32
 	offset   int32 // dense index = MachineID + offset
 
 	norm        []Bidder // normalized bidders, Bundles aliasing normBundles
@@ -74,7 +74,7 @@ type scratch struct {
 }
 
 var scratchPool = sync.Pool{
-	New: func() any { return &scratch{arena: cluster.NewAllocArena()} },
+	New: func() any { return new(scratch) },
 }
 
 // emptyAlloc is the shared zero-GPU allocation used for synthesized empty
@@ -84,10 +84,18 @@ var emptyAlloc = cluster.Alloc{}
 
 func getScratch() *scratch { return scratchPool.Get().(*scratch) }
 
+// zeroed returns v resized to n with every entry zero, reusing v's backing
+// array when it is large enough.
+func zeroed(v []int32, n int) []int32 {
+	if cap(v) < n {
+		return make([]int32, n)
+	}
+	v = v[:n]
+	clear(v)
+	return v
+}
+
 func (sc *scratch) release() {
-	sc.arena.ReleaseDense(sc.capacity)
-	sc.arena.ReleaseDense(sc.used)
-	sc.capacity, sc.used = nil, nil
 	// Drop references to caller-owned alloc maps so pooling the scratch
 	// does not extend their lifetime.
 	for i := range sc.normBundles {
@@ -167,8 +175,8 @@ func (sc *scratch) compile(capacity cluster.Alloc) {
 		nm = maxID - minID + 1
 		sc.offset = int32(-minID)
 	}
-	sc.capacity = sc.arena.Dense(nm)
-	sc.used = sc.arena.Dense(nm)
+	sc.capacity = zeroed(sc.capacity, nm)
+	sc.used = zeroed(sc.used, nm)
 	for m, n := range capacity {
 		if n != 0 {
 			sc.capacity[int32(m)+sc.offset] = int32(n)
@@ -304,7 +312,7 @@ func (sc *scratch) solveExact(skip int) {
 		sc.bestChoice = append(sc.bestChoice, -1)
 	}
 	choice, bestChoice := sc.choice, sc.bestChoice
-	sc.used.Zero() // a previous greedy search leaves its winners' terms behind
+	clear(sc.used) // a previous greedy search leaves its winners' terms behind
 
 	var dfs func(depth int, obj float64)
 	dfs = func(depth int, obj float64) {
@@ -360,7 +368,7 @@ func (sc *scratch) solveGreedy(rounds, skip int) {
 		sc.choice = append(sc.choice, int(sc.emptyIdx[i]))
 	}
 	choice := sc.choice
-	sc.used.Zero() // empty bundles contribute no terms
+	clear(sc.used) // empty bundles contribute no terms
 	for r := 0; r < rounds; r++ {
 		improved := false
 		bestGain := 1e-12
