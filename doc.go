@@ -45,9 +45,12 @@
 // gang mix) extends the library. Real cluster logs normalise into replayable
 // traces through ImportTrace: Philly-style and Alibaba-style CSV adapters
 // plus format auto-detection, validated by the same typed-error contract as
-// native traces (see internal/trace). The adapters stream — one bounded
-// pass with an online top-K selection under ImportOptions.MaxApps, so
-// multi-GB logs import without materialising their rows — and
+// native traces (see internal/trace). The adapters stream one pass over a
+// reused record buffer and never materialise filtered rows. The Philly
+// adapter runs an online top-K selection under ImportOptions.MaxApps, so a
+// capped multi-GB log imports in O(MaxApps) memory; the Alibaba adapter
+// must group a job's task rows before it knows the job's submission time,
+// so it holds the kept task rows and applies the cap after grouping.
 // ImportTraceStream adds progress callbacks for long imports.
 //
 // Traces use format v2: an optional per-app PlacementSpec block carries the

@@ -99,6 +99,9 @@ func (ag *Agent) prepareBidInto(now float64, offer, current cluster.Alloc, v *Bi
 	if maxRows <= 0 {
 		maxRows = DefaultMaxBidRows
 	}
+	// Sizes are distinct and within 1..offer.Total(), and both candidate
+	// generators fill exactly the requested size, so every row after the
+	// empty one is non-empty and unlike every other.
 	for _, size := range sizes {
 		if len(table.Entries) >= maxRows {
 			break
@@ -108,23 +111,6 @@ func (ag *Agent) prepareBidInto(now float64, offer, current cluster.Alloc, v *Bi
 			candidate = spreadCandidate(offer, size)
 		} else {
 			candidate = v.picker.PickInto(rowAlloc(table.Entries), ag.Estimator.Topo, offer, current, size)
-		}
-		if candidate.Total() == 0 {
-			continue
-		}
-		// Dedup against the rows already accepted (replacing the old
-		// canonical-Key string set: Equal over ≤MaxBidRows rows is cheaper
-		// than rendering keys and allocates nothing). The empty row at
-		// index 0 can never match: candidates here have a non-zero total.
-		dup := false
-		for _, e := range table.Entries {
-			if e.Alloc.Equal(candidate) {
-				dup = true
-				break
-			}
-		}
-		if dup {
-			continue
 		}
 		table.Entries = append(table.Entries, BidEntry{
 			Alloc: candidate,

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"themis/internal/cluster"
-	"themis/internal/solver"
 	"themis/internal/workload"
 )
 
@@ -346,7 +345,3 @@ func rhoOfWin(bid BidTable, won cluster.Alloc) float64 {
 	}
 	return best
 }
-
-// SolverOptions exposes the solver options used by the auction, for
-// benchmarks that want to compare exact and heuristic winner determination.
-func (c *Config) SolverOptions() *solver.Options { return &c.Auction.Solver }

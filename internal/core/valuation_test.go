@@ -52,8 +52,10 @@ type foreignBidder struct{ *Agent }
 // reusing second round, for in-process Agents and for foreign Bidders alike.
 func TestBatchedBidEquivalence(t *testing.T) {
 	ps, free := valuationFixture(t, 12)
-	// Route one participant through the foreign-Bidder fallback path.
+	// Route one participant through the foreign-Bidder fallback path, and
+	// let another bid with the placement-oblivious candidate generator.
 	ps[5].state.Agent = foreignBidder{ps[5].state.Agent.(*Agent)}
+	ps[7].state.Agent.(*Agent).PlacementBlind = true
 
 	want := make([]BidTable, 0, len(ps))
 	for _, p := range ps {
@@ -69,6 +71,16 @@ func TestBatchedBidEquivalence(t *testing.T) {
 		for i := range want {
 			if !reflect.DeepEqual(got[i], want[i]) {
 				t.Errorf("round %d: table %d differs:\n got %v\nwant %v", round, i, got[i], want[i])
+			}
+			// prepareBidInto keeps every candidate row: each must be
+			// non-empty and no two may ask for the same GPU count.
+			seen := make(map[int]bool)
+			for k, e := range got[i].Entries[1:] {
+				n := e.Alloc.Total()
+				if n == 0 || seen[n] {
+					t.Errorf("round %d: table %d row %d asks for %d GPUs (rows %v)", round, i, k+1, n, got[i].Entries)
+				}
+				seen[n] = true
 			}
 		}
 	}

@@ -152,23 +152,22 @@ func FuzzAlibabaImport(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, scale := range []float64{0, 1e5} {
 			tr, err := ImportAlibaba(bytes.NewReader(data), ImportOptions{TimeScale: scale})
-			if err == nil {
-				importContract(t, tr)
+			if err != nil {
+				continue
 			}
-			// The SortedInput fast path may reject the input (out-of-order
-			// rows), but whenever it accepts, it must agree byte-for-byte
-			// with the grouping path — on any input the fuzzer finds.
-			for _, maxApps := range []int{0, 1} {
-				sorted, sErr := ImportAlibaba(bytes.NewReader(data), ImportOptions{TimeScale: scale, MaxApps: maxApps, SortedInput: true})
-				if sErr != nil {
-					continue
-				}
+			importContract(t, tr)
+			// The MaxApps cap applies after grouping, so a capped import
+			// must be exactly the uncapped one's first K apps by
+			// (submit, ID) — on any input the fuzzer finds.
+			for _, maxApps := range []int{1, 2} {
 				capped, cErr := ImportAlibaba(bytes.NewReader(data), ImportOptions{TimeScale: scale, MaxApps: maxApps})
 				if cErr != nil {
-					t.Fatalf("sorted path accepted input the grouping path rejects (cap %d): %v", maxApps, cErr)
+					t.Fatalf("cap %d rejects input the uncapped import accepts: %v", maxApps, cErr)
 				}
-				if !reflect.DeepEqual(sorted, capped) {
-					t.Fatalf("sorted and grouping paths diverge (cap %d):\nsorted:   %+v\ngrouping: %+v", maxApps, sorted, capped)
+				want := tr
+				want.Apps = tr.Apps[:min(maxApps, len(tr.Apps))]
+				if !reflect.DeepEqual(capped, want) {
+					t.Fatalf("cap %d is not the uncapped import's head:\ncapped: %+v\nwant:   %+v", maxApps, capped, want)
 				}
 			}
 		}

@@ -234,15 +234,21 @@ func TestImportProgress(t *testing.T) {
 		}
 	}
 
-	// The grouping adapter reports progress too.
+	// The grouping adapter reports progress too, and its final snapshot
+	// counts the apps kept under the cap.
 	snaps = nil
-	if _, err := ImportAlibaba(strings.NewReader(alibabaCSV), ImportOptions{
+	tr, err = ImportAlibaba(strings.NewReader(alibabaCSV), ImportOptions{
+		MaxApps:       1,
 		ProgressEvery: 1,
 		Progress:      func(p ImportProgress) { snaps = append(snaps, p) },
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	if len(snaps) == 0 || !snaps[len(snaps)-1].Done {
 		t.Fatalf("alibaba progress snapshots: %+v", snaps)
+	}
+	if last := snaps[len(snaps)-1]; len(tr.Apps) != 1 || last.Kept != int64(len(tr.Apps)) {
+		t.Errorf("alibaba final snapshot %+v for %d apps, want Kept = 1 = len(Apps)", last, len(tr.Apps))
 	}
 }
