@@ -82,7 +82,8 @@ func (ag *Agent) PrepareBid(now float64, offer, current cluster.Alloc) BidTable 
 }
 
 // prepareBidInto is PrepareBid with caller-owned scratch: the valuator
-// provides the candidate-size, gang-count and placement buffers, and entries
+// provides the candidate-size and gang-count buffers and the offer, sorted
+// once per round for every candidate pick (offerPicker), and entries
 // is the (possibly recycled) backing buffer for the table rows. Row k is
 // built in the Alloc map a previous round left in slot k of that buffer (see
 // rowAlloc), so the table's maps live exactly as long as the buffer's next
@@ -110,7 +111,7 @@ func (ag *Agent) prepareBidInto(now float64, offer, current cluster.Alloc, v *Bi
 		if ag.PlacementBlind {
 			candidate = spreadCandidate(offer, size)
 		} else {
-			candidate = v.picker.PickInto(rowAlloc(table.Entries), ag.Estimator.Topo, offer, current, size)
+			candidate = v.offerPicker(ag.Estimator.Topo, offer).Pick(rowAlloc(table.Entries), current, size)
 		}
 		table.Entries = append(table.Entries, BidEntry{
 			Alloc: candidate,

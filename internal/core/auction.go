@@ -166,6 +166,20 @@ func scaleAllocation(topo *cluster.Topology, pf cluster.Alloc, ci float64) clust
 	return placement.Pick(topo, pf, cluster.NewAlloc(), keep)
 }
 
+// addInto adds src's GPUs to dst in place, dropping machines whose count
+// comes to zero, as Alloc.Add does into a new map.
+func addInto(dst, src cluster.Alloc) {
+	for m, n := range src {
+		if n == 0 {
+			continue
+		}
+		dst[m] += n
+		if dst[m] == 0 {
+			delete(dst, m)
+		}
+	}
+}
+
 // AllocateLeftovers distributes leftover GPUs placement-sensitively among
 // candidate apps (§5.1 step 3): each grant extends an app's existing
 // allocation — a machine it already uses when possible, otherwise the
@@ -195,12 +209,18 @@ func AllocateLeftovers(topo *cluster.Topology, leftover cluster.Alloc, currents 
 	if len(apps) == 0 {
 		return grants
 	}
-	remaining := leftover.Clone()
+	// The pool is the leftover still unplaced: sorted once, with each grant
+	// taken out of it in place. anchor and pick are one scratch map each,
+	// rebuilt per visit.
+	var pool placement.Picker
+	pool.Load(topo, leftover)
+	left := leftover.Total()
+	anchor, pick := cluster.NewAlloc(), cluster.NewAlloc()
 	granted := make(map[workload.AppID]int)
 	rotation := 0
-	for remaining.Total() > 0 {
+	for left > 0 {
 		progress := false
-		for k := 0; k < len(apps) && remaining.Total() > 0; k++ {
+		for k := 0; k < len(apps) && left > 0; k++ {
 			id := apps[(rotation+k)%len(apps)]
 			want := wants[id] - granted[id]
 			if want <= 0 {
@@ -213,18 +233,21 @@ func AllocateLeftovers(topo *cluster.Topology, leftover cluster.Alloc, currents 
 			if chunk > want {
 				chunk = want
 			}
-			anchor := currents[id].Add(grants[id])
-			pick := placement.Pick(topo, remaining, anchor, chunk)
-			if pick.Total() == 0 {
+			clear(anchor)
+			addInto(anchor, currents[id])
+			addInto(anchor, grants[id])
+			pool.Pick(pick, anchor, chunk)
+			n := pick.Total()
+			if n == 0 {
 				continue
 			}
-			grants[id] = grants[id].Add(pick)
-			granted[id] += pick.Total()
-			var err error
-			remaining, err = remaining.Sub(pick)
-			if err != nil {
-				panic("core: AllocateLeftovers internal inconsistency: " + err.Error())
+			if grants[id] == nil {
+				grants[id] = cluster.NewAlloc()
 			}
+			addInto(grants[id], pick)
+			granted[id] += n
+			pool.Take(pick)
+			left -= n
 			rotation++
 			progress = true
 		}

@@ -35,20 +35,21 @@ type RhoEstimator struct {
 	Errors *estimator.ErrorModel
 
 	// Estimator scratch, recycled across calls: the split output/ordering
-	// slices, the "remaining" map, the per-job pick maps, the aggregate
-	// total of Rho's current+extra, and the active-jobs buffer. Everything
-	// an estimate touches is either caller-owned input (read only) or one
-	// of these buffers, so a steady-state ρ probe allocates nothing;
-	// SplitForJobs clones the per-job maps before handing them out. An
-	// estimator is per-app, per-goroutine state, so plain fields suffice.
-	splitOut    []cluster.Alloc
-	splitOrder  []int
-	splitFree   cluster.Alloc
-	splitMaps   []cluster.Alloc
-	emptyAnchor cluster.Alloc
-	total       cluster.Alloc
-	jobs        []*workload.Job
-	picker      placement.Picker
+	// slices, each active job's work left, the per-job pick maps, the
+	// picker holding what the split has left, the aggregate total of Rho's
+	// current+extra, and the active-jobs buffer. Everything an estimate
+	// touches is either caller-owned input (read only) or one of these
+	// buffers, so a steady-state ρ probe allocates nothing
+	// (TestRhoEstimateZeroAlloc); SplitForJobs clones the per-job maps
+	// before handing them out. An estimator is per-app, per-goroutine
+	// state, so plain fields suffice.
+	splitOut   []cluster.Alloc
+	splitOrder []int
+	workLeft   []float64
+	splitMaps  []cluster.Alloc
+	picker     placement.Picker
+	total      cluster.Alloc
+	jobs       []*workload.Job
 }
 
 // activeJobs returns the app's active jobs in an estimator-owned buffer,
@@ -125,8 +126,7 @@ func (e *RhoEstimator) TShared(now float64, total cluster.Alloc) float64 {
 			continue
 		}
 		s := e.App.Profile.SOf(e.Topo, alloc)
-		left := e.Tuner.WorkLeft(j)
-		t := elapsed + left/(float64(g)*s)
+		t := elapsed + e.workLeft[idx]/(float64(g)*s)
 		if t < best {
 			best = t
 		}
@@ -174,10 +174,7 @@ func (e *RhoEstimator) totalInto(current, extra cluster.Alloc) cluster.Alloc {
 // CurrentRho estimates ρ with the app's present allocation only — the value
 // the Arbiter probes before each auction (step 1 in Figure 3).
 func (e *RhoEstimator) CurrentRho(now float64, current cluster.Alloc) float64 {
-	if e.emptyAnchor == nil {
-		e.emptyAnchor = cluster.NewAlloc()
-	}
-	return e.Rho(now, current, e.emptyAnchor)
+	return e.Rho(now, current, nil)
 }
 
 // FinalRho returns the realised finish-time fairness of a finished app:
@@ -202,53 +199,42 @@ func (e *RhoEstimator) splitAcrossJobs(total cluster.Alloc, active []*workload.J
 		order = append(order, i)
 	}
 	e.splitOut, e.splitOrder = out, order
-	// Assign jobs closest to completion first.
+	// Assign jobs closest to completion first. Each job's work left is read
+	// once; the exchange sort keeps its swap order, so ties resolve as they
+	// always have.
+	left := e.workLeft[:0]
+	for _, j := range active {
+		left = append(left, e.Tuner.WorkLeft(j))
+	}
+	e.workLeft = left
 	for i := 0; i < len(order); i++ {
 		for k := i + 1; k < len(order); k++ {
-			if e.Tuner.WorkLeft(active[order[k]]) < e.Tuner.WorkLeft(active[order[i]]) {
+			if left[order[k]] < left[order[i]] {
 				order[i], order[k] = order[k], order[i]
 			}
-		}
-	}
-	if e.splitFree == nil {
-		e.splitFree = cluster.NewAlloc()
-	}
-	if e.emptyAnchor == nil {
-		e.emptyAnchor = cluster.NewAlloc()
-	}
-	remaining := e.splitFree
-	clear(remaining)
-	for m, n := range total {
-		if n != 0 {
-			remaining[m] = n
 		}
 	}
 	for len(e.splitMaps) < len(active) {
 		e.splitMaps = append(e.splitMaps, cluster.NewAlloc())
 	}
+	// total is sorted once; each job picks from what the jobs before it
+	// left and takes its share out.
+	e.picker.Load(e.Topo, total)
 	for _, idx := range order {
 		j := active[idx]
 		want := j.MaxParallelism
 		if want <= 0 {
 			want = j.GangSize
 		}
-		picked := e.picker.PickInto(e.splitMaps[idx], e.Topo, remaining, e.emptyAnchor, want)
+		picked := e.picker.Pick(e.splitMaps[idx], nil, want)
 		if c, ok := j.PlacementConstraint(e.Topo); ok && !c.IsZero() && !placement.Satisfies(e.Topo, picked, c) {
 			// The unconstrained pick would strand these GPUs on an unrunnable
 			// shape; re-pick constraint-aware so the bid values what the
 			// simulator's job split would actually run.
-			picked = placement.PickConstrained(e.Topo, remaining, e.emptyAnchor, want, c)
+			picked = e.picker.PickConstrained(picked, nil, want, c)
 		}
 		out[idx] = picked
-		for m, n := range picked {
-			if remaining[m] < n {
-				panic("core: splitAcrossJobs internal inconsistency: picked exceeds remaining")
-			}
-			remaining[m] -= n
-			if remaining[m] == 0 {
-				delete(remaining, m)
-			}
-		}
+		e.picker.Take(picked)
 	}
 	return out
 }

@@ -8,6 +8,7 @@ import (
 	"themis/internal/estimator"
 	"themis/internal/hyperparam"
 	"themis/internal/placement"
+	"themis/internal/race"
 	"themis/internal/workload"
 )
 
@@ -147,5 +148,30 @@ func TestTSharedDrainedApp(t *testing.T) {
 	// No active jobs: TShared equals elapsed time.
 	if got := est.TShared(40, cluster.NewAlloc()); got != 40 {
 		t.Errorf("TShared for finished app = %v, want 40", got)
+	}
+}
+
+// TestRhoEstimateZeroAlloc pins the estimator's allocation contract: once
+// its scratch has grown, a ρ estimate over a multi-job app and a candidate
+// spanning several machines and racks — the per-job split loading the total
+// into the estimator's picker and drawing it down job by job — allocates
+// nothing.
+func TestRhoEstimateZeroAlloc(t *testing.T) {
+	if race.Enabled {
+		t.Skip("race instrumentation allocates; zero-alloc contract is checked without -race")
+	}
+	topo := testTopo(t, 8, 4, 2)
+	app := testApp("a", 0, placement.VGG16, 4, 300, 2)
+	app.Jobs[1].DoneWork = 100
+	app.Jobs[3].MaxParallelism = 4
+	est := NewRhoEstimator(topo, app, hyperparam.NewHyperBand(0))
+	current := cluster.Alloc{0: 2}
+	extra := cluster.Alloc{0: 2, 1: 4, 2: 1, 5: 3}
+	est.Rho(10, current, extra)
+	allocs := testing.AllocsPerRun(200, func() {
+		est.Rho(10, current, extra)
+	})
+	if allocs != 0 {
+		t.Fatalf("steady-state Rho allocates %.1f objects/op, want 0", allocs)
 	}
 }

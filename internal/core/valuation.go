@@ -11,16 +11,18 @@ import (
 // auction round, reusing the scratch that a standalone PrepareBid call
 // allocates per app: the candidate-size set and slice, the gang-size counts,
 // the per-participant entry buffers with the candidate maps left in their
-// slots, and the bid slice itself. The Arbiter owns one valuator and runs
-// every round's step 3 through it, so in steady state bid preparation
-// recycles one round's buffers into the next instead of leaving them to the
-// collector.
+// slots, the bid slice itself, and the offer's sorted pick pool, which every
+// candidate of every in-process bidder picks from. The Arbiter owns one
+// valuator and runs every round's step 3 through it, so in steady state bid
+// preparation recycles one round's buffers into the next instead of leaving
+// them to the collector.
 //
 // Batching is an optimisation only: the tables produced are bit-identical to
 // per-app PrepareBid calls (same candidate enumeration order, same float
-// math), which TestBatchedBidEquivalence pins. A valuator must not be shared
-// across goroutines; each Arbiter (and each sweep worker's policy) owns its
-// own.
+// math), which TestBatchedBidEquivalence pins; TestValuationMatchesReference
+// pins both to the map-based valuation that predates the sorted pool. A
+// valuator must not be shared across goroutines; each Arbiter (and each
+// sweep worker's policy) owns its own.
 type BidValuator struct {
 	sizeSet map[int]bool
 	sizes   []int
@@ -28,8 +30,11 @@ type BidValuator struct {
 	bids    []BidTable
 	entries [][]BidEntry
 
-	// picker reuses placement scratch across candidate picks.
-	picker placement.Picker
+	// picker holds the round's offer, sorted once for every candidate
+	// pick of every in-process bidder; offerTopo is the topology it was
+	// loaded on, nil until the round's first pick.
+	picker    placement.Picker
+	offerTopo *cluster.Topology
 }
 
 // prepareBids values an offer for every bidding participant. In-process
@@ -41,6 +46,7 @@ type BidValuator struct {
 // OfferResources needs (the auction copies what it keeps).
 func (v *BidValuator) prepareBids(now float64, offer cluster.Alloc, bidding []probedAgent) []BidTable {
 	bids := v.bids[:0]
+	v.offerTopo = nil
 	for len(v.entries) < len(bidding) {
 		v.entries = append(v.entries, nil)
 	}
@@ -55,6 +61,16 @@ func (v *BidValuator) prepareBids(now float64, offer cluster.Alloc, bidding []pr
 	}
 	v.bids = bids
 	return bids
+}
+
+// offerPicker returns the picker loaded with offer on topo, loading it on
+// the first candidate pick after prepareBids starts a round.
+func (v *BidValuator) offerPicker(topo *cluster.Topology, offer cluster.Alloc) *placement.Picker {
+	if v.offerTopo != topo {
+		v.picker.Load(topo, offer)
+		v.offerTopo = topo
+	}
+	return &v.picker
 }
 
 // candidateSizes returns the GPU counts an Agent bids on, given the total

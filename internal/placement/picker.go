@@ -3,7 +3,6 @@ package placement
 import (
 	"cmp"
 	"slices"
-	"sort"
 
 	"themis/internal/cluster"
 )
@@ -22,118 +21,13 @@ import (
 // allocation rule of §5.1 step 3. It never picks more than count GPUs and
 // never more than free allows; the result may hold fewer than count GPUs if
 // the free pool is smaller.
+//
+// Pick is a Picker loaded for one pick; a caller picking repeatedly from one
+// free vector should Load a Picker once instead.
 func Pick(topo *cluster.Topology, free cluster.Alloc, anchor cluster.Alloc, count int) cluster.Alloc {
-	picked := cluster.NewAlloc()
-	if count <= 0 {
-		return picked
-	}
-	remaining := free.Clone()
-	need := count
-
-	take := func(m cluster.MachineID) {
-		if need <= 0 {
-			return
-		}
-		n := remaining[m]
-		if n <= 0 {
-			return
-		}
-		if n > need {
-			n = need
-		}
-		picked[m] += n
-		remaining[m] -= n
-		need -= n
-	}
-
-	// Pass 1: machines the anchor already uses, largest anchor share first.
-	for _, m := range sortedMachineIDs(anchor) {
-		take(m)
-		if need == 0 {
-			return picked
-		}
-	}
-
-	// Pass 2: machines in racks the anchor already touches.
-	anchorRacks := make(map[cluster.RackID]bool)
-	for _, m := range anchor.Machines() {
-		anchorRacks[topo.Rack(m)] = true
-	}
-	if len(anchorRacks) > 0 {
-		for _, m := range machinesByFree(remaining) {
-			if anchorRacks[topo.Rack(m)] {
-				take(m)
-				if need == 0 {
-					return picked
-				}
-			}
-		}
-	}
-
-	// Pass 3: pack into as few machines as possible, filling one fabric
-	// domain before spilling into the next. Domains the anchor already
-	// touches come first, then domains by aggregate free GPUs; within a
-	// domain, prefer the rack with the most aggregate free GPUs so
-	// multi-machine spills stay rack-local. On single-domain (flat)
-	// topologies the domain loop is a no-op and the order reduces to the
-	// pre-hierarchy rack packing.
-	anchorDomains := make(map[cluster.DomainID]bool)
-	for _, m := range anchor.Machines() {
-		anchorDomains[topo.Domain(m)] = true
-	}
-	rackFree := make(map[cluster.RackID]int)
-	domainFree := make(map[cluster.DomainID]int)
-	for m, n := range remaining {
-		if n > 0 {
-			rackFree[topo.Rack(m)] += n
-			domainFree[topo.Domain(m)] += n
-		}
-	}
-	domains := make([]cluster.DomainID, 0, len(domainFree))
-	for d := range domainFree {
-		domains = append(domains, d)
-	}
-	sort.Slice(domains, func(i, j int) bool {
-		di, dj := domains[i], domains[j]
-		if anchorDomains[di] != anchorDomains[dj] {
-			return anchorDomains[di]
-		}
-		if domainFree[di] != domainFree[dj] {
-			return domainFree[di] > domainFree[dj]
-		}
-		return di < dj
-	})
-	racks := make([]cluster.RackID, 0, len(rackFree))
-	for r := range rackFree {
-		racks = append(racks, r)
-	}
-	sort.Slice(racks, func(i, j int) bool {
-		if rackFree[racks[i]] != rackFree[racks[j]] {
-			return rackFree[racks[i]] > rackFree[racks[j]]
-		}
-		return racks[i] < racks[j]
-	})
-	for _, d := range domains {
-		for _, r := range racks {
-			for _, m := range machinesByFree(remaining) {
-				if topo.Rack(m) != r || topo.Domain(m) != d {
-					continue
-				}
-				take(m)
-				if need == 0 {
-					return picked
-				}
-			}
-		}
-	}
-	return picked
-}
-
-// PickSingleGPU picks one GPU from free, preferring machines where anchor
-// already holds GPUs (the leftover-allocation rule: place the new GPU on a
-// machine already part of the app's allocation when possible).
-func PickSingleGPU(topo *cluster.Topology, free cluster.Alloc, anchor cluster.Alloc) cluster.Alloc {
-	return Pick(topo, free, anchor, 1)
+	var p Picker
+	p.Load(topo, free)
+	return p.Pick(nil, anchor, count)
 }
 
 // SatisfiesMinPerMachine reports whether an allocation meets a per-machine
@@ -259,95 +153,9 @@ func Satisfies(topo *cluster.Topology, alloc cluster.Alloc, c Constraint) bool {
 // possibly zero — when the constraint admits nothing better; callers decide
 // whether a partial gang is worth running.
 func PickConstrained(topo *cluster.Topology, free cluster.Alloc, anchor cluster.Alloc, count int, c Constraint) cluster.Alloc {
-	if c.IsZero() {
-		return Pick(topo, free, anchor, count)
-	}
-	eligible := cluster.NewAlloc()
-	for m, n := range free {
-		if n > 0 && c.Admits(topo, m) {
-			eligible[m] = n
-		}
-	}
-	minPer := c.MinGPUsPerMachine
-	if minPer < 1 {
-		minPer = 1
-	}
-	usedMachines := func(picked cluster.Alloc) int {
-		used := make(map[cluster.MachineID]bool)
-		for m, n := range anchor {
-			if n > 0 {
-				used[m] = true
-			}
-		}
-		for m, n := range picked {
-			if n > 0 {
-				used[m] = true
-			}
-		}
-		return len(used)
-	}
-	picked := cluster.NewAlloc()
-	need := count
-	take := func(m cluster.MachineID) {
-		if need <= 0 {
-			return
-		}
-		n := eligible[m]
-		if n <= 0 {
-			return
-		}
-		if n > need {
-			n = need
-		}
-		base := anchor[m] + picked[m]
-		if base+n < minPer {
-			return // would leave the machine under the per-machine floor
-		}
-		if c.MaxMachines > 0 && base == 0 && usedMachines(picked) >= c.MaxMachines {
-			return // a fresh machine would exceed the spread cap
-		}
-		picked[m] += n
-		eligible[m] -= n
-		need -= n
-	}
-
-	// Same preference ladder as Pick: anchor machines, anchor racks, then
-	// domain-then-rack packing over the rest.
-	for _, m := range sortedMachineIDs(anchor) {
-		take(m)
-	}
-	if need > 0 {
-		anchorRacks := make(map[cluster.RackID]bool)
-		for _, m := range anchor.Machines() {
-			anchorRacks[topo.Rack(m)] = true
-		}
-		if len(anchorRacks) > 0 {
-			for _, m := range machinesByFree(eligible) {
-				if anchorRacks[topo.Rack(m)] {
-					take(m)
-				}
-			}
-		}
-	}
-	if need > 0 {
-		for _, m := range machinesByFree(eligible) {
-			take(m)
-		}
-	}
-	return picked
-}
-
-// machinesByFree returns the machines with free GPUs sorted by descending
-// free count, then ascending ID.
-func machinesByFree(free cluster.Alloc) []cluster.MachineID {
-	ids := free.Machines()
-	sort.Slice(ids, func(i, j int) bool {
-		if free[ids[i]] != free[ids[j]] {
-			return free[ids[i]] > free[ids[j]]
-		}
-		return ids[i] < ids[j]
-	})
-	return ids
+	var p Picker
+	p.Load(topo, free)
+	return p.PickConstrained(nil, anchor, count, c)
 }
 
 // SplitAmongJobs partitions an app-level allocation across jobs that each
@@ -357,209 +165,357 @@ func machinesByFree(free cluster.Alloc) []cluster.MachineID {
 // one allocation per job (possibly empty), in job order.
 func SplitAmongJobs(topo *cluster.Topology, total cluster.Alloc, jobs int, maxPerJob int) []cluster.Alloc {
 	out := make([]cluster.Alloc, jobs)
-	remaining := total.Clone()
-	for j := 0; j < jobs; j++ {
-		out[j] = Pick(topo, remaining, cluster.NewAlloc(), maxPerJob)
-		var err error
-		remaining, err = remaining.Sub(out[j])
-		if err != nil {
-			// Pick never selects more than remaining holds.
-			panic("placement: SplitAmongJobs internal inconsistency: " + err.Error())
-		}
+	var p Picker
+	p.Load(topo, total)
+	for j := range out {
+		out[j] = p.Pick(nil, nil, maxPerJob)
+		p.Take(out[j])
 	}
 	return out
 }
 
-// Picker is Pick with caller-owned scratch: the remaining vector, the
-// anchor/rack/domain index maps and every ordering slice are reused across
-// calls, so a steady-state valuation round picks candidates without
-// allocating. PickInto is bit-identical to Pick — same three preference
-// passes, same total-order sorts (count/free descending, ID ascending), same
-// stale-snapshot behavior in pass 2 and per-(domain,rack) recomputation in
-// pass 3 — which TestPickerMatchesPick pins on randomized topologies.
+// Picker is Pick over a pool sorted once. Load sorts the pool's machines by
+// free GPUs descending, then ID ascending; any number of Picks then walk
+// that one order and leave the pool unchanged, and Take removes GPUs from it
+// between picks.
 //
-// A Picker is single-goroutine state; each BidValuator/RhoEstimator owns its
-// own.
+// One order serves every pass of Pick because of an invariant of its greedy
+// ladder: during a pick a machine's remaining count is either its pool count
+// or 0, since a take that leaves a machine partly used always ends the pick.
+// So the pool order, skipping the machines the pick has emptied, is exactly
+// the by-free order of what remains at any point of a pick: the order a
+// map-based pick snapshots for pass 2 and re-sorts for each (domain, rack)
+// pair of pass 3. TestPickerMatchesPick and TestPickerLoadPickTake pin the
+// Picker to such a reference on randomized pools.
+//
+// Rack and domain tallies live in slices indexed by the dense RackID and
+// DomainID. Once its buffers have grown, a Picker loads, picks and takes
+// without allocating. A Picker is single-goroutine state; each BidValuator
+// and RhoEstimator owns its own.
 type Picker struct {
-	remaining     cluster.Alloc
-	anchorIDs     []cluster.MachineID
-	byFree        []cluster.MachineID
-	anchorRacks   map[cluster.RackID]bool
-	anchorDomains map[cluster.DomainID]bool
-	rackFree      map[cluster.RackID]int
-	domainFree    map[cluster.DomainID]int
-	domains       []cluster.DomainID
-	racks         []cluster.RackID
+	topo       *cluster.Topology
+	pool       []slot             // machines with free GPUs, in pick order
+	rackFree   []int              // pool GPUs per rack
+	domainFree []int              // pool GPUs per domain
+	rackDomain []cluster.DomainID // the domain housing each rack
+
+	// Per-pick scratch: the still-wanted count, the pool slots the pick
+	// emptied (restored when it ends), the anchor's machines and the racks
+	// and domains it touches, and the pass-3 orderings.
+	need         int
+	emptied      []emptied
+	anchorIDs    []slot
+	anchorRack   []bool
+	anchorDomain []bool
+	racks        []cluster.RackID
+	domains      []cluster.DomainID
 }
 
-// PickInto is Pick writing into dst (cleared first; allocated when nil). The
-// returned allocation is dst, valid until the caller reuses it; free and
-// anchor are only read.
-func (p *Picker) PickInto(dst cluster.Alloc, topo *cluster.Topology, free, anchor cluster.Alloc, count int) cluster.Alloc {
+// slot pairs a machine with a GPU count.
+type slot struct {
+	m cluster.MachineID
+	n int
+}
+
+// emptied records a pool slot a pick zeroed and the count to give back.
+type emptied struct{ i, n int }
+
+// bySlot orders slots by count descending, then machine ID ascending — the
+// order every pass of Pick walks.
+func bySlot(a, b slot) int {
+	if a.n != b.n {
+		return cmp.Compare(b.n, a.n)
+	}
+	return cmp.Compare(a.m, b.m)
+}
+
+// bind sizes the per-rack and per-domain buffers for topo.
+func (p *Picker) bind(topo *cluster.Topology) {
+	if p.topo == topo {
+		return
+	}
+	racks, domains := 0, 0
+	for m := 0; m < topo.NumMachines(); m++ {
+		racks = max(racks, int(topo.Rack(cluster.MachineID(m)))+1)
+		domains = max(domains, int(topo.Domain(cluster.MachineID(m)))+1)
+	}
+	p.topo = topo
+	p.pool = p.pool[:0]
+	p.rackFree = make([]int, racks)
+	p.rackDomain = make([]cluster.DomainID, racks)
+	p.anchorRack = make([]bool, racks)
+	p.domainFree = make([]int, domains)
+	p.anchorDomain = make([]bool, domains)
+	for m := 0; m < topo.NumMachines(); m++ {
+		p.rackDomain[topo.Rack(cluster.MachineID(m))] = topo.Domain(cluster.MachineID(m))
+	}
+}
+
+// Load makes free the picker's pool, sorted once for every Pick until the
+// next Load. free is only read; machines holding no GPUs are left out.
+func (p *Picker) Load(topo *cluster.Topology, free cluster.Alloc) {
+	p.bind(topo)
+	pool := slices.Grow(p.pool[:0], len(free))
+	for m, n := range free {
+		if n > 0 {
+			pool = append(pool, slot{m, n})
+		}
+	}
+	slices.SortFunc(pool, bySlot)
+	p.pool = pool
+	clear(p.rackFree)
+	clear(p.domainFree)
+	for _, s := range pool {
+		p.rackFree[topo.Rack(s.m)] += s.n
+		p.domainFree[topo.Domain(s.m)] += s.n
+	}
+}
+
+// Pick selects up to count GPUs from the loaded pool exactly as the package
+// Pick does from the same free vector, writing them into dst (cleared first;
+// allocated when nil) and returning it. anchor is only read, and the pool is
+// left as Load or the last Take left it.
+func (p *Picker) Pick(dst, anchor cluster.Alloc, count int) cluster.Alloc {
+	dst = p.begin(dst, anchor, count)
+	if p.need > 0 {
+		p.pick(dst)
+	}
+	p.end()
+	return dst
+}
+
+// PickConstrained is the package PickConstrained on the loaded pool, with
+// Pick's dst and pool rules.
+func (p *Picker) PickConstrained(dst, anchor cluster.Alloc, count int, c Constraint) cluster.Alloc {
+	if c.IsZero() {
+		return p.Pick(dst, anchor, count)
+	}
+	dst = p.begin(dst, anchor, count)
+	if p.need > 0 {
+		p.pickConstrained(dst, anchor, c)
+	}
+	p.end()
+	return dst
+}
+
+// begin readies a pick: dst cleared (or made), the wanted count set, and
+// the anchor's machines sorted with the racks and domains they touch marked.
+func (p *Picker) begin(dst, anchor cluster.Alloc, count int) cluster.Alloc {
 	if dst == nil {
 		dst = cluster.NewAlloc()
 	} else {
 		clear(dst)
 	}
-	if count <= 0 {
-		return dst
-	}
-	if p.remaining == nil {
-		p.remaining = cluster.NewAlloc()
-	}
-	clear(p.remaining)
-	remaining := p.remaining
-	for m, n := range free {
-		if n != 0 {
-			remaining[m] = n
-		}
-	}
-	need := count
-
-	take := func(m cluster.MachineID) {
-		if need <= 0 {
-			return
-		}
-		n := remaining[m]
-		if n <= 0 {
-			return
-		}
-		if n > need {
-			n = need
-		}
-		dst[m] += n
-		remaining[m] -= n
-		need -= n
-	}
-
-	// Pass 1: machines the anchor already uses, largest anchor share first.
-	for _, m := range p.sortedByCount(anchor) {
-		take(m)
-		if need == 0 {
-			return dst
-		}
-	}
-
-	// Pass 2: machines in racks the anchor already touches. The by-free
-	// order is snapshotted once, before any pass-2 take, exactly like Pick.
-	if p.anchorRacks == nil {
-		p.anchorRacks = make(map[cluster.RackID]bool)
-	}
-	clear(p.anchorRacks)
+	p.need = max(count, 0)
+	ids := p.anchorIDs[:0]
 	for m, n := range anchor {
 		if n > 0 {
-			p.anchorRacks[topo.Rack(m)] = true
+			ids = append(ids, slot{m, n})
+			p.anchorRack[p.topo.Rack(m)] = true
+			p.anchorDomain[p.topo.Domain(m)] = true
 		}
 	}
-	if len(p.anchorRacks) > 0 {
-		for _, m := range p.machinesByFree(remaining) {
-			if p.anchorRacks[topo.Rack(m)] {
-				take(m)
-				if need == 0 {
-					return dst
-				}
+	slices.SortFunc(ids, bySlot)
+	p.anchorIDs = ids
+	return dst
+}
+
+// end gives back the slots the pick emptied and clears the anchor marks, so
+// the pool and scratch are as begin found them.
+func (p *Picker) end() {
+	for _, e := range p.emptied {
+		s := &p.pool[e.i]
+		s.n = e.n
+		p.rackFree[p.topo.Rack(s.m)] += e.n
+		p.domainFree[p.topo.Domain(s.m)] += e.n
+	}
+	p.emptied = p.emptied[:0]
+	for _, a := range p.anchorIDs {
+		p.anchorRack[p.topo.Rack(a.m)] = false
+		p.anchorDomain[p.topo.Domain(a.m)] = false
+	}
+}
+
+// pick runs Pick's three passes until p.need GPUs are in dst or the pool is
+// exhausted.
+func (p *Picker) pick(dst cluster.Alloc) {
+	topo := p.topo
+	// Pass 1: machines the anchor already uses, largest anchor share first.
+	for _, a := range p.anchorIDs {
+		if i := p.index(a.m); i >= 0 && p.take(dst, i) {
+			return
+		}
+	}
+
+	// Pass 2: machines in racks the anchor already touches.
+	if len(p.anchorIDs) > 0 {
+		for i, s := range p.pool {
+			if s.n > 0 && p.anchorRack[topo.Rack(s.m)] && p.take(dst, i) {
+				return
 			}
 		}
 	}
 
-	// Pass 3: pack into as few machines as possible, domain before rack,
-	// anchor domains first — Pick's comparators verbatim.
-	if p.anchorDomains == nil {
-		p.anchorDomains = make(map[cluster.DomainID]bool)
-		p.rackFree = make(map[cluster.RackID]int)
-		p.domainFree = make(map[cluster.DomainID]int)
-	}
-	clear(p.anchorDomains)
-	clear(p.rackFree)
-	clear(p.domainFree)
-	for m, n := range anchor {
-		if n > 0 {
-			p.anchorDomains[topo.Domain(m)] = true
-		}
-	}
-	for m, n := range remaining {
-		if n > 0 {
-			p.rackFree[topo.Rack(m)] += n
-			p.domainFree[topo.Domain(m)] += n
-		}
-	}
+	// Pass 3: pack into as few machines as possible, filling one fabric
+	// domain before spilling into the next. Domains the anchor already
+	// touches come first, then domains by aggregate free GPUs; within a
+	// domain, prefer the rack with the most aggregate free GPUs so
+	// multi-machine spills stay rack-local. On single-domain (flat)
+	// topologies the domain loop is a no-op and the order reduces to rack
+	// packing.
 	domains := p.domains[:0]
-	for d := range p.domainFree {
-		domains = append(domains, d)
+	for d, n := range p.domainFree {
+		if n > 0 {
+			domains = append(domains, cluster.DomainID(d))
+		}
 	}
-	slices.SortFunc(domains, func(di, dj cluster.DomainID) int {
-		if p.anchorDomains[di] != p.anchorDomains[dj] {
-			if p.anchorDomains[di] {
+	slices.SortFunc(domains, func(a, b cluster.DomainID) int {
+		if p.anchorDomain[a] != p.anchorDomain[b] {
+			if p.anchorDomain[a] {
 				return -1
 			}
 			return 1
 		}
-		if p.domainFree[di] != p.domainFree[dj] {
-			return cmp.Compare(p.domainFree[dj], p.domainFree[di])
+		if c := cmp.Compare(p.domainFree[b], p.domainFree[a]); c != 0 {
+			return c
 		}
-		return cmp.Compare(di, dj)
+		return cmp.Compare(a, b)
 	})
 	p.domains = domains
 	racks := p.racks[:0]
-	for r := range p.rackFree {
-		racks = append(racks, r)
-	}
-	slices.SortFunc(racks, func(ri, rj cluster.RackID) int {
-		if p.rackFree[ri] != p.rackFree[rj] {
-			return cmp.Compare(p.rackFree[rj], p.rackFree[ri])
+	for r, n := range p.rackFree {
+		if n > 0 {
+			racks = append(racks, cluster.RackID(r))
 		}
-		return cmp.Compare(ri, rj)
+	}
+	slices.SortFunc(racks, func(a, b cluster.RackID) int {
+		if c := cmp.Compare(p.rackFree[b], p.rackFree[a]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
 	})
 	p.racks = racks
 	for _, d := range domains {
 		for _, r := range racks {
-			for _, m := range p.machinesByFree(remaining) {
-				if topo.Rack(m) != r || topo.Domain(m) != d {
-					continue
-				}
-				take(m)
-				if need == 0 {
-					return dst
+			if p.rackDomain[r] != d {
+				continue
+			}
+			for i, s := range p.pool {
+				if s.n > 0 && topo.Rack(s.m) == r && p.take(dst, i) {
+					return
 				}
 			}
 		}
 	}
-	return dst
 }
 
-// sortedByCount returns alloc's machines ordered by descending count then
-// ascending ID (sortedMachineIDs over reused scratch).
-func (p *Picker) sortedByCount(alloc cluster.Alloc) []cluster.MachineID {
-	ids := p.anchorIDs[:0]
+// pickConstrained runs PickConstrained's ladder: the same passes 1 and 2 as
+// pick, then the rest in pool order, over machines c admits only. It skips
+// a take that would leave a machine under c's per-machine floor, or that
+// would spread the allocation (anchor included) past c's machine cap.
+func (p *Picker) pickConstrained(dst, anchor cluster.Alloc, c Constraint) {
+	topo := p.topo
+	minPer := max(c.MinGPUsPerMachine, 1)
+	used := len(p.anchorIDs) // machines holding anchor or picked GPUs
+	take := func(i int) {
+		s := p.pool[i]
+		n := min(s.n, p.need)
+		if n <= 0 || !c.Admits(topo, s.m) {
+			return
+		}
+		base := anchor[s.m] + dst[s.m]
+		if base+n < minPer {
+			return
+		}
+		if base == 0 {
+			if c.MaxMachines > 0 && used >= c.MaxMachines {
+				return
+			}
+			used++
+		}
+		p.take(dst, i)
+	}
+	for _, a := range p.anchorIDs {
+		if i := p.index(a.m); i >= 0 {
+			take(i)
+		}
+	}
+	if p.need > 0 && len(p.anchorIDs) > 0 {
+		for i, s := range p.pool {
+			if s.n > 0 && p.anchorRack[topo.Rack(s.m)] {
+				take(i)
+			}
+		}
+	}
+	for i := range p.pool {
+		if p.need == 0 {
+			return
+		}
+		take(i)
+	}
+}
+
+// take moves up to p.need GPUs of pool slot i into dst and reports whether
+// the pick is complete. A slot it empties is zeroed for the rest of the pick
+// and logged for Pick to restore; a slot it leaves partly used always
+// completes the pick, so no pass ever sees a partial count.
+func (p *Picker) take(dst cluster.Alloc, i int) bool {
+	s := &p.pool[i]
+	n := min(s.n, p.need)
+	if n <= 0 {
+		return false
+	}
+	dst[s.m] += n
+	p.need -= n
+	if n == s.n {
+		p.emptied = append(p.emptied, emptied{i, n})
+		s.n = 0
+		p.rackFree[p.topo.Rack(s.m)] -= n
+		p.domainFree[p.topo.Domain(s.m)] -= n
+	}
+	return p.need == 0
+}
+
+// Take removes alloc's GPUs from the pool, so later picks see only what is
+// left. Machines it empties leave the pool, and the few it leaves partly
+// used move to their new place in the order. alloc holding GPUs the pool
+// does not is a caller bug and panics.
+func (p *Picker) Take(alloc cluster.Alloc) {
 	for m, n := range alloc {
-		if n > 0 {
-			ids = append(ids, m)
+		if n <= 0 {
+			continue
+		}
+		i := p.index(m)
+		if i < 0 || p.pool[i].n < n {
+			panic("placement: Picker.Take removes GPUs the pool does not hold")
+		}
+		p.pool[i].n -= n
+		p.rackFree[p.topo.Rack(m)] -= n
+		p.domainFree[p.topo.Domain(m)] -= n
+	}
+	// Counts only fell, so an insertion sort moves each changed slot right
+	// to its place in the nearly sorted pool; emptied slots end up last.
+	pool := p.pool
+	for i := 1; i < len(pool); i++ {
+		for j := i; j > 0 && bySlot(pool[j], pool[j-1]) < 0; j-- {
+			pool[j], pool[j-1] = pool[j-1], pool[j]
 		}
 	}
-	slices.SortFunc(ids, func(a, b cluster.MachineID) int {
-		if alloc[a] != alloc[b] {
-			return cmp.Compare(alloc[b], alloc[a])
-		}
-		return cmp.Compare(a, b)
-	})
-	p.anchorIDs = ids
-	return ids
+	for len(pool) > 0 && pool[len(pool)-1].n == 0 {
+		pool = pool[:len(pool)-1]
+	}
+	p.pool = pool
 }
 
-// machinesByFree mirrors the package function over reused scratch.
-func (p *Picker) machinesByFree(free cluster.Alloc) []cluster.MachineID {
-	ids := p.byFree[:0]
-	for m, n := range free {
-		if n > 0 {
-			ids = append(ids, m)
+// index returns m's position in the pool, or -1 when m is not pooled. The
+// pool is scanned, not indexed by machine, so a Picker's memory follows the
+// pools it holds rather than the cluster's size; lookups serve only anchor
+// machines and Take.
+func (p *Picker) index(m cluster.MachineID) int {
+	for i, s := range p.pool {
+		if s.m == m {
+			return i
 		}
 	}
-	slices.SortFunc(ids, func(a, b cluster.MachineID) int {
-		if free[a] != free[b] {
-			return cmp.Compare(free[b], free[a])
-		}
-		return cmp.Compare(a, b)
-	})
-	p.byFree = ids
-	return ids
+	return -1
 }

@@ -1,7 +1,9 @@
 package placement
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -367,43 +369,363 @@ func TestPickConstrained(t *testing.T) {
 	}
 }
 
-// TestPickerMatchesPick pins PickInto to Pick bit-for-bit: same preference
-// ladder, same sort tie-breaks, across a reused Picker whose scratch carries
-// state between calls.
+// referencePick is the map-based Pick the Picker replaced, kept verbatim as
+// the oracle: it clones the free vector and re-sorts the remaining machines
+// for pass 2 and for every (domain, rack) pair of pass 3.
+func referencePick(topo *cluster.Topology, free cluster.Alloc, anchor cluster.Alloc, count int) cluster.Alloc {
+	picked := cluster.NewAlloc()
+	if count <= 0 {
+		return picked
+	}
+	remaining := free.Clone()
+	need := count
+
+	take := func(m cluster.MachineID) {
+		if need <= 0 {
+			return
+		}
+		n := remaining[m]
+		if n <= 0 {
+			return
+		}
+		if n > need {
+			n = need
+		}
+		picked[m] += n
+		remaining[m] -= n
+		need -= n
+	}
+
+	// Pass 1: machines the anchor already uses, largest anchor share first.
+	for _, m := range sortedMachineIDs(anchor) {
+		take(m)
+		if need == 0 {
+			return picked
+		}
+	}
+
+	// Pass 2: machines in racks the anchor already touches.
+	anchorRacks := make(map[cluster.RackID]bool)
+	for _, m := range anchor.Machines() {
+		anchorRacks[topo.Rack(m)] = true
+	}
+	if len(anchorRacks) > 0 {
+		for _, m := range machinesByFree(remaining) {
+			if anchorRacks[topo.Rack(m)] {
+				take(m)
+				if need == 0 {
+					return picked
+				}
+			}
+		}
+	}
+
+	// Pass 3: pack into as few machines as possible, filling one fabric
+	// domain before spilling into the next. Domains the anchor already
+	// touches come first, then domains by aggregate free GPUs; within a
+	// domain, prefer the rack with the most aggregate free GPUs so
+	// multi-machine spills stay rack-local. On single-domain (flat)
+	// topologies the domain loop is a no-op and the order reduces to the
+	// pre-hierarchy rack packing.
+	anchorDomains := make(map[cluster.DomainID]bool)
+	for _, m := range anchor.Machines() {
+		anchorDomains[topo.Domain(m)] = true
+	}
+	rackFree := make(map[cluster.RackID]int)
+	domainFree := make(map[cluster.DomainID]int)
+	for m, n := range remaining {
+		if n > 0 {
+			rackFree[topo.Rack(m)] += n
+			domainFree[topo.Domain(m)] += n
+		}
+	}
+	domains := make([]cluster.DomainID, 0, len(domainFree))
+	for d := range domainFree {
+		domains = append(domains, d)
+	}
+	sort.Slice(domains, func(i, j int) bool {
+		di, dj := domains[i], domains[j]
+		if anchorDomains[di] != anchorDomains[dj] {
+			return anchorDomains[di]
+		}
+		if domainFree[di] != domainFree[dj] {
+			return domainFree[di] > domainFree[dj]
+		}
+		return di < dj
+	})
+	racks := make([]cluster.RackID, 0, len(rackFree))
+	for r := range rackFree {
+		racks = append(racks, r)
+	}
+	sort.Slice(racks, func(i, j int) bool {
+		if rackFree[racks[i]] != rackFree[racks[j]] {
+			return rackFree[racks[i]] > rackFree[racks[j]]
+		}
+		return racks[i] < racks[j]
+	})
+	for _, d := range domains {
+		for _, r := range racks {
+			for _, m := range machinesByFree(remaining) {
+				if topo.Rack(m) != r || topo.Domain(m) != d {
+					continue
+				}
+				take(m)
+				if need == 0 {
+					return picked
+				}
+			}
+		}
+	}
+	return picked
+}
+
+// referencePickConstrained is the map-based PickConstrained the Picker
+// replaced, kept verbatim as the oracle for constrained picks.
+func referencePickConstrained(topo *cluster.Topology, free cluster.Alloc, anchor cluster.Alloc, count int, c Constraint) cluster.Alloc {
+	if c.IsZero() {
+		return referencePick(topo, free, anchor, count)
+	}
+	eligible := cluster.NewAlloc()
+	for m, n := range free {
+		if n > 0 && c.Admits(topo, m) {
+			eligible[m] = n
+		}
+	}
+	minPer := c.MinGPUsPerMachine
+	if minPer < 1 {
+		minPer = 1
+	}
+	usedMachines := func(picked cluster.Alloc) int {
+		used := make(map[cluster.MachineID]bool)
+		for m, n := range anchor {
+			if n > 0 {
+				used[m] = true
+			}
+		}
+		for m, n := range picked {
+			if n > 0 {
+				used[m] = true
+			}
+		}
+		return len(used)
+	}
+	picked := cluster.NewAlloc()
+	need := count
+	take := func(m cluster.MachineID) {
+		if need <= 0 {
+			return
+		}
+		n := eligible[m]
+		if n <= 0 {
+			return
+		}
+		if n > need {
+			n = need
+		}
+		base := anchor[m] + picked[m]
+		if base+n < minPer {
+			return // would leave the machine under the per-machine floor
+		}
+		if c.MaxMachines > 0 && base == 0 && usedMachines(picked) >= c.MaxMachines {
+			return // a fresh machine would exceed the spread cap
+		}
+		picked[m] += n
+		eligible[m] -= n
+		need -= n
+	}
+
+	// Same preference ladder as Pick: anchor machines, anchor racks, then
+	// domain-then-rack packing over the rest.
+	for _, m := range sortedMachineIDs(anchor) {
+		take(m)
+	}
+	if need > 0 {
+		anchorRacks := make(map[cluster.RackID]bool)
+		for _, m := range anchor.Machines() {
+			anchorRacks[topo.Rack(m)] = true
+		}
+		if len(anchorRacks) > 0 {
+			for _, m := range machinesByFree(eligible) {
+				if anchorRacks[topo.Rack(m)] {
+					take(m)
+				}
+			}
+		}
+	}
+	if need > 0 {
+		for _, m := range machinesByFree(eligible) {
+			take(m)
+		}
+	}
+	return picked
+}
+
+// sortedMachineIDs returns alloc's machines sorted by descending GPU count
+// then ascending ID, a deterministic order for greedy packing.
+func sortedMachineIDs(alloc cluster.Alloc) []cluster.MachineID {
+	ids := alloc.Machines()
+	sort.Slice(ids, func(i, j int) bool {
+		if alloc[ids[i]] != alloc[ids[j]] {
+			return alloc[ids[i]] > alloc[ids[j]]
+		}
+		return ids[i] < ids[j]
+	})
+	return ids
+}
+
+// machinesByFree returns the machines with free GPUs sorted by descending
+// free count, then ascending ID.
+func machinesByFree(free cluster.Alloc) []cluster.MachineID {
+	ids := free.Machines()
+	sort.Slice(ids, func(i, j int) bool {
+		if free[ids[i]] != free[ids[j]] {
+			return free[ids[i]] > free[ids[j]]
+		}
+		return ids[i] < ids[j]
+	})
+	return ids
+}
+
+// randomPool draws a free vector and an anchor over topo's machines.
+func randomPool(rng *rand.Rand, topo *cluster.Topology) (free, anchor cluster.Alloc) {
+	free, anchor = cluster.NewAlloc(), cluster.NewAlloc()
+	for m := 0; m < topo.NumMachines(); m++ {
+		cap := topo.Machine(cluster.MachineID(m)).NumGPUs
+		if rng.Intn(3) != 0 {
+			free[cluster.MachineID(m)] = rng.Intn(cap + 1)
+		}
+		if rng.Intn(4) == 0 {
+			anchor[cluster.MachineID(m)] = 1 + rng.Intn(cap)
+		}
+	}
+	return free, anchor
+}
+
+// randomConstraint draws a non-zero constraint: a per-machine floor, a
+// machine cap, a domain affinity or a flavor affinity, alone or combined.
+func randomConstraint(rng *rand.Rand) Constraint {
+	var c Constraint
+	for c.IsZero() {
+		if rng.Intn(2) == 0 {
+			c.MinGPUsPerMachine = 2 + rng.Intn(2)
+		}
+		if rng.Intn(2) == 0 {
+			c.MaxMachines = 1 + rng.Intn(3)
+		}
+		if rng.Intn(3) == 0 {
+			c.Domain, c.HasDomain = cluster.DomainID(rng.Intn(2)), true
+		}
+		if rng.Intn(4) == 0 {
+			c.Flavor = []cluster.GPUType{cluster.GPUTypeP100, cluster.GPUTypeK80}[rng.Intn(2)]
+		}
+	}
+	return c
+}
+
+// samePick fails the test unless got and want hold the same GPUs per
+// machine with no stored zeros in got.
+func samePick(t *testing.T, what string, got, want cluster.Alloc) {
+	t.Helper()
+	if !got.Equal(want) {
+		t.Fatalf("%s: Picker %v != reference %v", what, got, want)
+	}
+	for m, n := range got {
+		if want[m] != n {
+			t.Fatalf("%s: representation differs at machine %d", what, m)
+		}
+	}
+}
+
+// TestPickerMatchesPick pins a loaded Picker to the references bit-for-bit:
+// same preference ladder, same sort tie-breaks, same constraint skips, for
+// counts up to the whole pool, across a reused Picker whose scratch carries
+// state between calls and several picks against one load.
 func TestPickerMatchesPick(t *testing.T) {
 	topo := multiDomainTopo(t)
 	rng := rand.New(rand.NewSource(19))
 	var p Picker
 	dst := cluster.NewAlloc()
 	for trial := 0; trial < 500; trial++ {
-		free := cluster.NewAlloc()
-		anchor := cluster.NewAlloc()
-		for m := 0; m < topo.NumMachines(); m++ {
-			cap := topo.Machine(cluster.MachineID(m)).NumGPUs
-			if rng.Intn(3) != 0 {
-				free[cluster.MachineID(m)] = rng.Intn(cap + 1)
-			}
-			if rng.Intn(4) == 0 {
-				anchor[cluster.MachineID(m)] = 1 + rng.Intn(cap)
-			}
+		free, anchor := randomPool(rng, topo)
+		p.Load(topo, free)
+		for k := 0; k < 3; k++ {
+			count := rng.Intn(free.Total() + 2)
+			what := fmt.Sprintf("trial %d pick %d (free=%v anchor=%v count=%d)", trial, k, free, anchor, count)
+			samePick(t, what, p.Pick(dst, anchor, count), referencePick(topo, free, anchor, count))
+			c := randomConstraint(rng)
+			samePick(t, fmt.Sprintf("%s constrained %+v", what, c),
+				p.PickConstrained(dst, anchor, count, c), referencePickConstrained(topo, free, anchor, count, c))
 		}
-		count := rng.Intn(12)
-		want := Pick(topo, free, anchor, count)
-		got := p.PickInto(dst, topo, free, anchor, count)
-		if !got.Equal(want) {
-			t.Fatalf("trial %d: PickInto %v != Pick %v (free=%v anchor=%v count=%d)",
-				trial, got, want, free, anchor, count)
+		if got := Pick(topo, free, anchor, free.Total()); !got.Equal(referencePick(topo, free, anchor, free.Total())) {
+			t.Fatalf("trial %d: package Pick %v differs from the reference", trial, got)
 		}
-		for m, n := range got {
-			if want[m] != n {
-				t.Fatalf("trial %d: representation differs at machine %d", trial, m)
+	}
+}
+
+// poolOf returns what p's pool holds.
+func poolOf(p *Picker) cluster.Alloc {
+	out := cluster.NewAlloc()
+	for _, s := range p.pool {
+		out[s.m] = s.n
+	}
+	return out
+}
+
+// TestPickerLoadPickTake pins Take: a pool loaded once and drawn down by
+// Take picks exactly what the references pick from the running remainder,
+// whether the taken allocation came from a plain pick, a constrained pick
+// or elsewhere.
+func TestPickerLoadPickTake(t *testing.T) {
+	topo := multiDomainTopo(t)
+	rng := rand.New(rand.NewSource(23))
+	var p Picker
+	dst := cluster.NewAlloc()
+	for trial := 0; trial < 300; trial++ {
+		free, anchor := randomPool(rng, topo)
+		remaining := free.Clone()
+		p.Load(topo, free)
+		for step := 0; remaining.Total() > 0; step++ {
+			if rng.Intn(2) == 0 {
+				anchor = cluster.NewAlloc()
+			}
+			count := 1 + rng.Intn(remaining.Total())
+			what := fmt.Sprintf("trial %d step %d (remaining=%v anchor=%v count=%d)", trial, step, remaining, anchor, count)
+			var got cluster.Alloc
+			switch rng.Intn(3) {
+			case 0:
+				got = p.Pick(dst, anchor, count)
+				samePick(t, what, got, referencePick(topo, remaining, anchor, count))
+			case 1:
+				c := randomConstraint(rng)
+				got = p.PickConstrained(dst, anchor, count, c)
+				samePick(t, fmt.Sprintf("%s constrained %+v", what, c), got, referencePickConstrained(topo, remaining, anchor, count, c))
+			default:
+				// Take something no pick chose: a few GPUs from the
+				// lowest-numbered machines still holding some.
+				got = cluster.NewAlloc()
+				for _, m := range remaining.Machines() {
+					if got.Total() < count {
+						got[m] = 1 + rng.Intn(remaining[m])
+					}
+				}
+			}
+			p.Take(got)
+			var err error
+			if remaining, err = remaining.Sub(got); err != nil {
+				t.Fatal(err)
+			}
+			if left := poolOf(&p); !left.Equal(remaining) {
+				t.Fatalf("%s: pool %v after Take, want %v", what, left, remaining)
+			}
+			if got.Total() == 0 {
+				break // a constrained pick found nothing; the pool is unchanged
 			}
 		}
 	}
 }
 
 // TestPickerSteadyStateAllocs pins the point of the Picker: after warmup a
-// pick allocates nothing.
+// load, a pick and a take allocate nothing.
 func TestPickerSteadyStateAllocs(t *testing.T) {
 	if race.Enabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -413,11 +735,54 @@ func TestPickerSteadyStateAllocs(t *testing.T) {
 	anchor := cluster.Alloc{0: 2}
 	var p Picker
 	dst := cluster.NewAlloc()
-	p.PickInto(dst, topo, free, anchor, 6)
-	allocs := testing.AllocsPerRun(100, func() {
-		p.PickInto(dst, topo, free, anchor, 6)
-	})
-	if allocs != 0 {
-		t.Fatalf("PickInto allocated %v times per run in steady state", allocs)
+	run := func() {
+		p.Load(topo, free)
+		p.Take(p.Pick(dst, anchor, 6))
+		p.Pick(dst, nil, 3)
+	}
+	run()
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("Load+Pick+Take allocated %v times per run in steady state", allocs)
+	}
+}
+
+// BenchmarkPicker measures the picker layer as one valuation round uses it
+// on the paper's simulation cluster: the whole free pool loaded once, about
+// 200 candidate picks against it (anchored on a bidder's existing GPUs for
+// half of them), then one multi-job split of a candidate loaded as its own
+// pool and drawn down job by job.
+func BenchmarkPicker(b *testing.B) {
+	topo := cluster.SimulationCluster()
+	free := cluster.NewAlloc()
+	for _, m := range topo.Machines() {
+		free[m.ID] = m.NumGPUs
+	}
+	anchors := make([]cluster.Alloc, 20)
+	for i := range anchors {
+		anchors[i] = cluster.Alloc{cluster.MachineID(i * 4): 1 + i%2}
+		if i%2 == 1 {
+			anchors[i] = nil
+		}
+	}
+	sizes := []int{1, 2, 4, 8, 16, 32, 64, 128, 192, 256}
+	var offer, split Picker
+	dst, job := cluster.NewAlloc(), cluster.NewAlloc()
+	round := func() {
+		offer.Load(topo, free)
+		for _, a := range anchors {
+			for _, n := range sizes {
+				offer.Pick(dst, a, n)
+			}
+		}
+		split.Load(topo, dst)
+		for j := 0; j < 8; j++ {
+			split.Take(split.Pick(job, nil, 24))
+		}
+	}
+	round()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
 	}
 }
